@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .analytic import (
     DegenerateParametersError,
@@ -23,20 +23,15 @@ from .analytic import (
     optimal_g,
 )
 from .model import SystemParams, energy_levels
-from .steady import SteadyStateError, converged_steady_state
+from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
 from .sweep import GridAxis, SweepResult, preset, run_sweep
 
 PARAM_FIELDS = ("delta", "u", "g", "f", "phi", "kappa")
 
 _DEFAULTS = {
-    "delta": 0.0,
-    "u": 0.0,
-    "g": 0.0,
-    "f": 0.0,
-    "phi": 0.0,
-    "kappa": 1.0,
-    "tol": 1e-3,
-    "max_dim": 60,
+    **asdict(SystemParams()),
+    "tol": DEFAULT_TOL,
+    "max_dim": DEFAULT_MAX_DIM,
     "format": "csv",
     "omega_a": 0.0,
     "n_max": 5,
@@ -63,15 +58,15 @@ class RunConfig:
 
     command: str
     params: SystemParams
-    param_overrides: dict = field(default_factory=dict)
-    preset: str | None = None
-    axes: list[GridAxis] | None = None
-    output_path: str | None = None
-    format: str = "csv"
-    tol: float = 1e-3
-    max_dim: int = 60
-    omega_a: float = 0.0
-    n_max: int = 5
+    param_overrides: dict
+    preset: str | None
+    axes: list[GridAxis] | None
+    output_path: str | None
+    format: str
+    tol: float
+    max_dim: int
+    omega_a: float
+    n_max: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,11 +160,15 @@ def _check_config_types(config: dict) -> None:
 def parse_config(argv, config_text: str | None = None) -> RunConfig:
     """Resolve argv (plus optional config-file text) into a RunConfig.
 
-    Flags override config values override defaults.  Raises CliUsageError
-    for malformed config or conflicting options; argparse itself exits with
-    code 2 on unknown flags or malformed numbers.
+    Flags override config values override defaults.  Without config_text,
+    the file named by --config, if any, is read (OSError propagates).
+    Raises CliUsageError for malformed config or conflicting options;
+    argparse itself exits with code 2 on unknown flags or malformed numbers.
     """
     namespace = _build_parser().parse_args(list(argv))
+    if config_text is None and namespace.config is not None:
+        with open(namespace.config, "r", encoding="utf-8") as handle:
+            config_text = handle.read()
 
     config = {}
     if config_text is not None:
@@ -216,10 +215,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     if axis_spec is not None:
         if isinstance(axis_spec, str):
             axis_spec = [axis_spec]
-        try:
-            axes = [parse_axis(text) for text in axis_spec]
-        except CliUsageError:
-            raise
+        axes = [parse_axis(text) for text in axis_spec]
         if not 1 <= len(axes) <= 2:
             raise CliUsageError(f"expected one or two axes, got {len(axes)}")
 
@@ -404,28 +400,14 @@ def execute(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = list(argv)
-
-    config_text = None
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as handle:
-                config_text = handle.read()
-        except OSError as exc:
-            print(f"cannot read config file: {exc}", file=sys.stderr)
-            return 1
-
     try:
-        cfg = parse_config(argv, config_text)
+        cfg = parse_config(argv)
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot read config file: {exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:
         return int(exc.code or 0)
     return execute(cfg)

@@ -3,9 +3,9 @@
 Matrices are plain numpy arrays of complex128, indexed (row, col) zero-based
 so the Fock index n coincides with the matrix index.  Everything downstream
 (Hamiltonians, Liouvillians, steady states) is built from these constructors.
-Dense double precision is deliberate: truncation dimensions stay small enough
-(D <= 60, Liouvillian <= 3600 x 3600) that dense LU beats any sparsity
-bookkeeping at this scale.
+Liouvillians are built and factorised densely in double precision (D <= 60,
+so at most 3600 x 3600): the steady-state solver's conditioning guard is the
+LAPACK estimate zgecon, which works on a dense LU factor.
 
 Arrays returned by the constructors are marked read-only so shared instances
 cannot be mutated behind a caller's back.

@@ -9,6 +9,7 @@ to 1 so numbers can be read directly as kappa-normalized.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -52,9 +53,7 @@ class SystemParams:
             raise ValueError(f"f must be non-negative, got {self.f}")
 
     def replace(self, **changes) -> "SystemParams":
-        fields = {name: getattr(self, name) for name in ("delta", "u", "g", "f", "phi", "kappa")}
-        fields.update(changes)
-        return SystemParams(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,13 @@ PHOTON_FLOOR = 1e-12
 # declared unreliable.
 RCOND_FLOOR = 1e-14
 
+# Truncation ladder of converged_steady_state and its default settings,
+# which the sweep engine and the command line share.
+START_DIM = 12
+DIM_STEP = 6
+DEFAULT_MAX_DIM = 60
+DEFAULT_TOL = 1e-3
+
 
 class SteadyStateError(RuntimeError):
     """The trace-constrained linear solve failed or is numerically unreliable."""
@@ -131,7 +138,8 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
     the square system is then solved by LU.  A reciprocal-condition estimate
     below 1e-14 raises SteadyStateError rather than returning digits that
-    are mostly noise.
+    are mostly noise, as does a solution that fails the DensityMatrix
+    physicality checks.
     """
     d = space.dim
     if d < 3:
@@ -173,7 +181,10 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}"
         )
-    return DensityMatrix(dim=d, entries=rho)
+    try:
+        return DensityMatrix(dim=d, entries=rho)
+    except ValueError as exc:
+        raise SteadyStateError(f"unphysical steady state at dim={d}: {exc}") from exc
 
 
 def observables(rho: DensityMatrix) -> Observables:
@@ -219,30 +230,27 @@ def _lg_gap(before: Observables, after: Observables) -> float:
 
 def converged_steady_state(
     p: SystemParams,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
     *,
-    start_dim: int = 12,
-    step: int = 6,
-    max_dim: int = 60,
+    max_dim: int = DEFAULT_MAX_DIM,
 ) -> tuple[DensityMatrix, Observables, int]:
     """Solve at growing truncation until lg N and lg g2 settle within tol.
 
-    Starts at start_dim and grows by step; returns the first solution whose
-    log observables moved less than tol from the previous truncation,
-    together with the dimension it was computed at.  A state with mean
-    photon number below the division floor is returned immediately: higher
-    truncations cannot populate it further.  Raises ConvergenceError
-    (carrying the last two observable sets) if max_dim is reached without
-    settling, which is also the guaranteed outcome of tol = 0.
+    Climbs the fixed ladder of dimensions 12, 18, 24, ... up to max_dim;
+    returns the first solution whose log observables moved less than tol
+    from the previous truncation, together with the dimension it was
+    computed at.  A state with mean photon number below the division floor
+    is returned immediately: higher truncations cannot populate it further.
+    Raises ConvergenceError (carrying the last two observable sets) if
+    max_dim is reached without settling, which is also the guaranteed
+    outcome of tol = 0.
     """
-    if start_dim < 3 or step < 1:
-        raise ValueError("start_dim must be >= 3 and step >= 1")
-    if max_dim < start_dim:
-        raise ValueError(f"max_dim={max_dim} is below the starting dimension {start_dim}")
+    if max_dim < START_DIM:
+        raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
 
     previous: Observables | None = None
     before_previous: Observables | None = None
-    for dim in range(start_dim, max_dim + 1, step):
+    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
         rho = steady_state(p, FockSpace(dim))
         obs = observables(rho)
         if obs.mean_photon < PHOTON_FLOOR:

@@ -23,30 +23,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .analytic import DegenerateParametersError, amplitudes_closed_form, g2_analytic
+# amplitudes_closed_form is not called here; bench/tracing.py looks it up on this module.
+from .analytic import amplitudes_closed_form, optimal_g  # noqa: F401
 from .model import SystemParams
-from .steady import SteadyStateError, converged_steady_state
+from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
 
 SWEEPABLE_PARAMS = ("delta", "u", "g", "f", "phi")
-
-_PRESET_IDS = (
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig2c",
-    "fig2d",
-    "fig3a",
-    "fig3b",
-    "fig3c",
-    "fig3d",
-    "fig3e",
-    "fig3f",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "fig4d",
-)
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,6 @@ class SweepRow:
     g2: float | None
     lg_n: float | None
     lg_g2: float | None
-    g2_analytic: float | None
     status: str
 
 
@@ -138,32 +119,13 @@ class SweepResult:
             raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
 
 
-def _analytic_g2(params: SystemParams) -> float | None:
-    try:
-        return g2_analytic(amplitudes_closed_form(params))
-    except DegenerateParametersError:
-        return None
-
-
 def _evaluate_point(task) -> SweepRow:
     axis1_name, axis1_value, axis2_name, axis2_value, params, tol, max_dim = task
     try:
         _, obs, dim = converged_steady_state(params, tol, max_dim=max_dim)
     except SteadyStateError:
-        return SweepRow(
-            axis1_name=axis1_name,
-            axis1_value=axis1_value,
-            axis2_name=axis2_name,
-            axis2_value=axis2_value,
-            params=params,
-            dim=None,
-            n_mean=None,
-            g2=None,
-            lg_n=None,
-            lg_g2=None,
-            g2_analytic=_analytic_g2(params),
-            status="FAIL",
-        )
+        obs, dim = None, None
+    ok = obs is not None
     return SweepRow(
         axis1_name=axis1_name,
         axis1_value=axis1_value,
@@ -171,12 +133,11 @@ def _evaluate_point(task) -> SweepRow:
         axis2_value=axis2_value,
         params=params,
         dim=dim,
-        n_mean=obs.mean_photon,
-        g2=obs.g2,
-        lg_n=obs.lg_n,
-        lg_g2=obs.lg_g2,
-        g2_analytic=_analytic_g2(params),
-        status="OK",
+        n_mean=obs.mean_photon if ok else None,
+        g2=obs.g2 if ok else None,
+        lg_n=obs.lg_n if ok else None,
+        lg_g2=obs.lg_g2 if ok else None,
+        status="OK" if ok else "FAIL",
     )
 
 
@@ -198,9 +159,9 @@ def _resolve_workers(workers: int | None) -> int:
 def run_sweep(
     base: SystemParams,
     axes,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
     *,
-    max_dim: int = 60,
+    max_dim: int = DEFAULT_MAX_DIM,
     workers: int | None = None,
     preset_name: str | None = None,
 ) -> SweepResult:
@@ -254,8 +215,45 @@ def run_sweep(
     return SweepResult(axes=axes, rows=rows, metadata=metadata)
 
 
-def _fig1a_axes() -> list[GridAxis]:
-    return [GridAxis.linear("f", 0.01, 0.3, 101), GridAxis.linear("g", -0.05, 0.2, 101)]
+_PI = math.pi
+_FIG1A_AXES = (GridAxis.linear("f", 0.01, 0.3, 101), GridAxis.linear("g", -0.05, 0.2, 101))
+
+# Preset id -> (base parameters, axes).  fig3x is the fig1a map at other
+# drive phases, fig4x the fig1a map at other Kerr strengths.
+_PRESETS = {
+    "fig1a": (SystemParams(delta=0.0, u=0.5, phi=_PI / 12), _FIG1A_AXES),
+    "fig1b": (
+        SystemParams(delta=0.0, u=0.5, f=0.1),
+        (GridAxis.linear("g", -0.05, 0.05, 101), GridAxis.linear("phi", 0.0, 2.0 * _PI, 101)),
+    ),
+    # Linear-cavity base: with any Kerr present the resonance peak is
+    # measurably pulled off zero detuning at the stronger drives, which
+    # contradicts the claim this preset exists to reproduce.
+    "fig2a": (
+        SystemParams(u=0.0, g=0.0, phi=0.0),
+        (GridAxis.explicit("f", (0.1, 0.2, 0.3)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+    ),
+    "fig2b": (
+        SystemParams(delta=0.0, u=0.5, f=0.1),
+        (GridAxis.explicit("g", (0.05, 0.1, 0.2)), GridAxis.linear("phi", -_PI, _PI, 201)),
+    ),
+    "fig2c": (
+        SystemParams(u=0.5, f=0.1, phi=0.0),
+        (GridAxis.explicit("g", (0.05, 0.2, 0.4)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+    ),
+    "fig2d": (
+        SystemParams(g=0.0, f=0.1, phi=0.0),
+        (GridAxis.explicit("u", (0.1, 0.5, 1.0, 2.0)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+    ),
+    **{
+        f"fig3{tag}": (SystemParams(delta=0.0, u=0.5, phi=phi), _FIG1A_AXES)
+        for tag, phi in zip("abcdef", (_PI / 12, _PI / 6, _PI / 4, _PI / 3, 5 * _PI / 12, _PI / 2))
+    },
+    **{
+        f"fig4{tag}": (SystemParams(delta=0.0, u=u, phi=_PI / 12), _FIG1A_AXES)
+        for tag, u in zip("abcd", (0.1, 1.0, 2.0, 5.0))
+    },
+}
 
 
 def preset(name: str) -> tuple[SystemParams, list[GridAxis]]:
@@ -266,54 +264,16 @@ def preset(name: str) -> tuple[SystemParams, list[GridAxis]]:
     optimal-gain curve (2-D maps) or the resonance (detuning scans).  All of
     them can be overridden via run_sweep by passing modified axes or base.
     """
-    if name not in _PRESET_IDS:
-        raise ValueError(f"unknown preset {name!r}; valid ids: {', '.join(_PRESET_IDS)}")
-
-    pi = math.pi
-    if name == "fig1a":
-        return SystemParams(delta=0.0, u=0.5, phi=pi / 12), _fig1a_axes()
-    if name == "fig1b":
-        return SystemParams(delta=0.0, u=0.5, f=0.1), [
-            GridAxis.linear("g", -0.05, 0.05, 101),
-            GridAxis.linear("phi", 0.0, 2.0 * pi, 101),
-        ]
-    if name == "fig2a":
-        # Linear-cavity base: with any Kerr present the resonance peak is
-        # measurably pulled off zero detuning at the stronger drives, which
-        # contradicts the claim this preset exists to reproduce.
-        return SystemParams(u=0.0, g=0.0, phi=0.0), [
-            GridAxis.explicit("f", (0.1, 0.2, 0.3)),
-            GridAxis.linear("delta", -3.0, 3.0, 201),
-        ]
-    if name == "fig2b":
-        return SystemParams(delta=0.0, u=0.5, f=0.1), [
-            GridAxis.explicit("g", (0.05, 0.1, 0.2)),
-            GridAxis.linear("phi", -pi, pi, 201),
-        ]
-    if name == "fig2c":
-        return SystemParams(u=0.5, f=0.1, phi=0.0), [
-            GridAxis.explicit("g", (0.05, 0.2, 0.4)),
-            GridAxis.linear("delta", -3.0, 3.0, 201),
-        ]
-    if name == "fig2d":
-        return SystemParams(g=0.0, f=0.1, phi=0.0), [
-            GridAxis.explicit("u", (0.1, 0.5, 1.0, 2.0)),
-            GridAxis.linear("delta", -3.0, 3.0, 201),
-        ]
-    if name.startswith("fig3"):
-        phases = {"a": pi / 12, "b": pi / 6, "c": pi / 4, "d": pi / 3, "e": 5 * pi / 12, "f": pi / 2}
-        return SystemParams(delta=0.0, u=0.5, phi=phases[name[-1]]), _fig1a_axes()
-    # fig4x: the fig1a map at other Kerr strengths
-    kerr = {"a": 0.1, "b": 1.0, "c": 2.0, "d": 5.0}
-    return SystemParams(delta=0.0, u=kerr[name[-1]], phi=pi / 12), _fig1a_axes()
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; valid ids: {', '.join(_PRESETS)}")
+    base, axes = _PRESETS[name]
+    return base, list(axes)
 
 
 def optimal_curve(
     f_axis: GridAxis, phi: float, delta: float, kappa: float = 1.0
 ) -> list[tuple[float, float]]:
     """Optimal parametric gain sampled along a drive-strength axis."""
-    from .analytic import optimal_g
-
     if f_axis.param != "f":
         raise ValueError(f"curve wants a drive-strength axis, got {f_axis.param!r}")
     return [(float(f), optimal_g(float(f), phi, delta, kappa)) for f in f_axis.points()]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import blockade.steady
 from blockade.fock import FockSpace
 from blockade.steady import liouvillian
 
@@ -50,3 +51,12 @@ def weak_drive_draw(rng):
         f=float(rng.uniform(0.01, 0.1)),
         phi=float(rng.uniform(0, 2 * math.pi)),
     )
+
+
+def force_unphysical(monkeypatch):
+    """Make every steady_state solution fail its DensityMatrix physicality check."""
+
+    def reject(dim, entries):
+        raise ValueError("not positive semidefinite: forced")
+
+    monkeypatch.setattr(blockade.steady, "DensityMatrix", reject)

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from helpers import force_unphysical
+
 from blockade.cli import (
     CSV_HEADER,
     CliUsageError,
@@ -130,6 +132,15 @@ class TestExitCodes:
     def test_solver_failure(self, capsys):
         assert main(["solve", "--f", "0.1", "--u", "0.5", "--tol", "0", "--max-dim", "24"]) == 1
         assert "solver failure" in capsys.readouterr().err
+
+    def test_unphysical_solution_is_solver_failure(self, capsys, monkeypatch):
+        force_unphysical(monkeypatch)
+        assert main(["solve", "--f", "0.1"]) == 1
+        assert "solver failure" in capsys.readouterr().err
+        monkeypatch.setenv("BLOCKADE_THREADS", "1")
+        assert main(["sweep", "--axis", "delta:0:1:2", "--f", "0.1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["FAIL", "FAIL"]
 
     def test_unwritable_output(self, capsys, tmp_path):
         missing_dir = tmp_path / "missing" / "out.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rk4_steady, weak_drive_draw
+from helpers import force_unphysical, rk4_steady, weak_drive_draw
 
 from blockade.analytic import optimal_g
 from blockade.fock import FockSpace, annihilation, expectation
@@ -105,6 +105,12 @@ class TestSteadyState:
         p = SystemParams(delta=0.0, u=0.5, g=0.0273, f=0.1, phi=math.pi / 12)
         obs = observables(steady_state(p, FockSpace(18)))
         assert obs.g2 is not None and obs.g2 < 1.0
+
+    def test_unphysical_solution_is_solver_failure(self, monkeypatch):
+        force_unphysical(monkeypatch)
+        with pytest.raises(SteadyStateError, match="forced") as excinfo:
+            steady_state(SystemParams(f=0.1), FockSpace(12))
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,51 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from helpers import force_unphysical
+
 from blockade.model import SystemParams
 from blockade.sweep import GridAxis, optimal_curve, preset, run_sweep
+
+PI = math.pi
+FIG1A_AXES = [("f", 0.01, 0.3, 101, None), ("g", -0.05, 0.2, 101, None)]
+
+# Every preset as (base parameters, axes as (param, min, max, count, values)).
+PRESET_GOLDEN = {
+    "fig1a": (SystemParams(delta=0.0, u=0.5, phi=PI / 12), FIG1A_AXES),
+    "fig1b": (
+        SystemParams(delta=0.0, u=0.5, f=0.1),
+        [("g", -0.05, 0.05, 101, None), ("phi", 0.0, 2.0 * PI, 101, None)],
+    ),
+    "fig2a": (
+        SystemParams(u=0.0, g=0.0, phi=0.0),
+        [("f", 0.1, 0.3, 3, (0.1, 0.2, 0.3)), ("delta", -3.0, 3.0, 201, None)],
+    ),
+    "fig2b": (
+        SystemParams(delta=0.0, u=0.5, f=0.1),
+        [("g", 0.05, 0.2, 3, (0.05, 0.1, 0.2)), ("phi", -PI, PI, 201, None)],
+    ),
+    "fig2c": (
+        SystemParams(u=0.5, f=0.1, phi=0.0),
+        [("g", 0.05, 0.4, 3, (0.05, 0.2, 0.4)), ("delta", -3.0, 3.0, 201, None)],
+    ),
+    "fig2d": (
+        SystemParams(g=0.0, f=0.1, phi=0.0),
+        [("u", 0.1, 2.0, 4, (0.1, 0.5, 1.0, 2.0)), ("delta", -3.0, 3.0, 201, None)],
+    ),
+    "fig3a": (SystemParams(delta=0.0, u=0.5, phi=PI / 12), FIG1A_AXES),
+    "fig3b": (SystemParams(delta=0.0, u=0.5, phi=PI / 6), FIG1A_AXES),
+    "fig3c": (SystemParams(delta=0.0, u=0.5, phi=PI / 4), FIG1A_AXES),
+    "fig3d": (SystemParams(delta=0.0, u=0.5, phi=PI / 3), FIG1A_AXES),
+    "fig3e": (SystemParams(delta=0.0, u=0.5, phi=5 * PI / 12), FIG1A_AXES),
+    "fig3f": (SystemParams(delta=0.0, u=0.5, phi=PI / 2), FIG1A_AXES),
+    "fig4a": (SystemParams(delta=0.0, u=0.1, phi=PI / 12), FIG1A_AXES),
+    "fig4b": (SystemParams(delta=0.0, u=1.0, phi=PI / 12), FIG1A_AXES),
+    "fig4c": (SystemParams(delta=0.0, u=2.0, phi=PI / 12), FIG1A_AXES),
+    "fig4d": (SystemParams(delta=0.0, u=5.0, phi=PI / 12), FIG1A_AXES),
+}
 
 
 class TestGridAxis:
@@ -96,6 +137,13 @@ class TestRunSweep:
         assert all(r.status == "FAIL" for r in result.rows)
         assert all(r.n_mean is None and r.dim is None for r in result.rows)
 
+    def test_unphysical_point_becomes_fail_row(self, monkeypatch):
+        force_unphysical(monkeypatch)
+        axes = [GridAxis.linear("f", 0.1, 0.2, 2), GridAxis.linear("g", 0.0, 0.02, 2)]
+        result = run_sweep(SystemParams(u=0.5), axes, workers=1)
+        assert [r.status for r in result.rows] == ["FAIL"] * 4
+        assert all(r.n_mean is None and r.dim is None for r in result.rows)
+
     def test_metadata_reports_dims(self):
         result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)], workers=1)
         assert result.metadata["dims_used"] == [18]
@@ -138,8 +186,19 @@ class TestPresets:
         assert axes[0].values == (0.1, 0.2, 0.3)
         assert axes[1].count == 201
 
+    @pytest.mark.parametrize("name", sorted(PRESET_GOLDEN))
+    def test_golden(self, name):
+        base, axes = preset(name)
+        expected_base, expected_axes = PRESET_GOLDEN[name]
+        assert base == expected_base
+        assert isinstance(axes, list)
+        assert [(a.param, a.min, a.max, a.count, a.values) for a in axes] == expected_axes
+        axes.clear()
+        assert len(preset(name)[1]) == len(expected_axes)
+
     def test_unknown_preset_lists_valid_ids(self):
-        with pytest.raises(ValueError, match="fig1a"):
+        valid = ", ".join(PRESET_GOLDEN)
+        with pytest.raises(ValueError, match=re.escape(f"unknown preset 'fig9z'; valid ids: {valid}")):
             preset("fig9z")
 
     def test_valley_tracks_optimal_curve_on_coarse_map(self):
