@@ -10,19 +10,14 @@ documented defaults here and remain overridable by the caller.
 Grid points are independent solves, so the engine can fan them out over a
 process pool; results are always assembled in grid order, making output
 independent of the degree of parallelism.  The BLOCKADE_THREADS environment
-variable caps the pool size (default: machine CPU count).  While a sweep
-runs, every OpenBLAS loaded in the process is held to one thread: the pool
-already occupies the cores, forked workers inherit the setting, and serial
-and pooled sweeps then run the same single-threaded arithmetic.
+variable caps the pool size (default: machine CPU count).
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -146,46 +141,6 @@ def _evaluate_point(task) -> SweepRow:
     )
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
-
-    numpy and scipy wheels each bundle their own (symbol-prefixed) copy.
-    Found through /proc/self/maps, so elsewhere than Linux the list is empty.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("", ""), ("scipy_", ""), ("scipy_", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                controls.append((get, set_))
-                break
-    return controls
-
-
-@contextmanager
-def _single_thread_blas():
-    """Hold every loaded OpenBLAS to one thread, restoring the counts on exit."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
-
-
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         env = os.environ.get("BLOCKADE_THREADS", "").strip()
@@ -242,13 +197,12 @@ def run_sweep(
                 tasks.append((axis1.param, float(v1), axis2.param, float(v2), params, tol, max_dim))
 
     n_workers = _resolve_workers(workers)
-    with _single_thread_blas():
-        if n_workers == 1 or len(tasks) < 4:
-            rows = tuple(_evaluate_point(task) for task in tasks)
-        else:
-            chunk = max(1, len(tasks) // (8 * n_workers))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                rows = tuple(pool.map(_evaluate_point, tasks, chunksize=chunk))
+    if n_workers == 1 or len(tasks) < 4:
+        rows = tuple(_evaluate_point(task) for task in tasks)
+    else:
+        chunk = max(1, len(tasks) // (8 * n_workers))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            rows = tuple(pool.map(_evaluate_point, tasks, chunksize=chunk))
 
     dims_used = sorted({row.dim for row in rows if row.dim is not None})
     metadata = {

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import force_unphysical
 
-import blockade.sweep as sweep_module
 from blockade.model import SystemParams
 from blockade.sweep import GridAxis, optimal_curve, preset, run_sweep
 
@@ -116,21 +115,6 @@ class TestRunSweep:
         rows_serial = run_sweep(base, axes, workers=1).rows
         rows_parallel = run_sweep(base, axes, workers=2).rows
         assert rows_serial == rows_parallel
-
-    def test_blas_held_to_one_thread_during_sweep(self, monkeypatch):
-        controls = sweep_module._openblas_thread_controls()
-        before = [get() for get, _ in controls]
-        seen = []
-        evaluate = sweep_module._evaluate_point
-
-        def recording(task):
-            seen.append([get() for get, _ in controls])
-            return evaluate(task)
-
-        monkeypatch.setattr(sweep_module, "_evaluate_point", recording)
-        run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)], workers=1)
-        assert seen == [[1] * len(controls)] * 2
-        assert [get() for get, _ in controls] == before
 
     def test_env_var_caps_workers(self, monkeypatch):
         monkeypatch.setenv("BLOCKADE_THREADS", "1")
