@@ -8,7 +8,7 @@ analytics (truncated amplitudes, destructive-interference conditions and
 the optimal parametric gain) together with parameter-sweep presets.
 """
 
-from .fock import FockSpace, annihilation, creation, adjoint, kron, expectation
+from .fock import FockSpace, annihilation, creation, expectation
 from .model import SystemParams, EnergyLevel, build_h_eff, build_h_non, energy_levels
 from .steady import (
     DensityMatrix,
@@ -37,8 +37,6 @@ __all__ = [
     "FockSpace",
     "annihilation",
     "creation",
-    "adjoint",
-    "kron",
     "expectation",
     "SystemParams",
     "EnergyLevel",

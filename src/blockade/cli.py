@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .analytic import (
     DegenerateParametersError,
@@ -26,7 +26,7 @@ from .model import SystemParams, energy_levels
 from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
 from .sweep import GridAxis, SweepResult, preset, run_sweep
 
-PARAM_FIELDS = ("delta", "u", "g", "f", "phi", "kappa")
+PARAM_FIELDS = tuple(field.name for field in fields(SystemParams))
 
 _DEFAULTS = {
     **asdict(SystemParams()),
@@ -161,7 +161,8 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     """Resolve argv (plus optional config-file text) into a RunConfig.
 
     Flags override config values override defaults.  Without config_text,
-    the file named by --config, if any, is read (OSError propagates).
+    the file named by --config, if any, is read (OSError and
+    UnicodeDecodeError propagate).
     Raises CliUsageError for malformed config or conflicting options;
     argparse itself exits with code 2 on unknown flags or malformed numbers.
     """
@@ -405,7 +406,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config file: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

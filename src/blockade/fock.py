@@ -1,11 +1,9 @@
-"""Truncated Fock-space ladder operators and dense matrix helpers.
+"""Truncated Fock-space ladder operators and expectation values.
 
 Matrices are plain numpy arrays of complex128, indexed (row, col) zero-based
-so the Fock index n coincides with the matrix index.  Everything downstream
-(Hamiltonians, Liouvillians, steady states) is built from these constructors.
-Liouvillians are built and factorised densely in double precision (D <= 60,
-so at most 3600 x 3600): the steady-state solver's conditioning guard is the
-LAPACK estimate zgecon, which works on a dense LU factor.
+so the Fock index n coincides with the matrix index.  Hamiltonians and
+states are D x D with D <= 60, so they stay dense; only the D^2 x D^2
+Liouvillian, which has about ten nonzeros per row, is sparse (see steady).
 
 Arrays returned by the constructors are marked read-only so shared instances
 cannot be mutated behind a caller's back.
@@ -52,17 +50,7 @@ def annihilation(space: FockSpace) -> np.ndarray:
 
 def creation(space: FockSpace) -> np.ndarray:
     """Photon creation operator, the conjugate transpose of annihilation."""
-    return _readonly(adjoint(annihilation(space)))
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m)).T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (rows_a*rows_b) x (cols_a*cols_b)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    return _readonly(annihilation(space).conj().T)
 
 
 def expectation(op: np.ndarray, rho: np.ndarray) -> complex:

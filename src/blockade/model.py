@@ -40,7 +40,8 @@ class SystemParams:
     kappa: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "u", "g", "f", "phi", "kappa"):
+        for field in dataclasses.fields(self):
+            name = field.name
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
@@ -74,14 +75,19 @@ def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
     H = delta a'a + u a'a'aa + i g (a'a' - aa) + f (a' e^{i phi} + a e^{-i phi})
     with a' the creation operator.  Hermitian by construction.
     """
+    # Every term is banded, so it is written from its diagonals rather than
+    # as products of ladder operators (small dense matmuls are slow under
+    # multithreaded BLAS): a'a = diag(n), a'a'aa = diag(n(n-1)), aa has
+    # a[m, m+1] a[m+1, m+2] at (m, m+2), and a' = a.T.
+    n = np.arange(space.dim, dtype=float)
     a = annihilation(space)
-    ad = creation(space)
-    n_op = ad @ a
-    h = p.delta * n_op
-    h = h + p.u * (ad @ ad @ a @ a)
-    h = h + 1j * p.g * (ad @ ad - a @ a)
+    off = np.diag(a, k=1).real
+    aa = np.zeros((space.dim, space.dim))
+    aa[:-2, 2:] = np.diag(off[:-1] * off[1:])
+    h = np.diag(p.delta * n + p.u * n * (n - 1.0)).astype(complex)
+    h = h + 1j * p.g * (aa.T - aa)
     drive = p.f * np.exp(1j * p.phi)
-    h = h + drive * ad + np.conj(drive) * a
+    h = h + drive * a.T + np.conj(drive) * a
     return h
 
 

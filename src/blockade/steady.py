@@ -6,24 +6,28 @@ single decaying mode,
     drho/dt = -i [H, rho] + (kappa/2) (2 a rho a' - a'a rho - rho a'a),
 
 vectorized by column stacking: vec(rho)[i + D*j] = rho[i, j], so that
-vec(A rho B) = kron(B.T, A) vec(rho).  The steady state is the unit-trace
-kernel vector of the Liouvillian, found by replacing one row of the
-singular system with the vectorized trace constraint and solving the
-resulting square system by LU with partial pivoting.  Truncation is
+vec(A rho B) = kron(B.T, A) vec(rho).  The D^2 x D^2 Liouvillian has about
+ten nonzeros per row, so it is built as a scipy.sparse matrix on an index
+pattern computed once per truncation D; each parameter point only fills in
+the data, which is affine in H and kappa.  The steady state is the
+unit-trace kernel vector of the Liouvillian, found by replacing one row of
+the singular system with the vectorized trace constraint and solving the
+resulting square system with SuperLU (partial pivoting).  Truncation is
 controlled by re-solving at growing dimension until the observables stop
 moving on a log10 scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .fock import FockSpace, annihilation, creation, kron
+from .fock import FockSpace
 from .model import SystemParams, build_h_eff
 
 # Below this mean photon number, g2 is a 0/0 ratio and reported undefined.
@@ -119,16 +123,59 @@ class Observables:
             raise ValueError("g2 must be non-negative when defined")
 
 
-def liouvillian(p: SystemParams, space: FockSpace) -> np.ndarray:
-    """Generator L with vec(drho/dt) = L vec(rho) under column stacking."""
+@functools.lru_cache(maxsize=16)
+def _pattern(d: int):
+    """Index pattern of the Liouvillian at truncation d, shared by every point.
+
+    Returns (indices, indptr, h_to_data, decay): the CSR index arrays of L
+    (sorted, no duplicates, every diagonal entry stored), the sparse map
+    from the row-major ravel of H to the data of -i[H, .], and the data of
+    the damping superoperator per unit kappa.  H couples number states at
+    most two apart (a'a', aa), so only that band of H is read.
+    """
+    n = np.arange(d)
+    ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
+    spectator = n[:, None]
+    # -i H rho puts -i H[i, k] at L[i + d j, k + d j]; i rho H puts +i H[i, k]
+    # at L[j + d k, j + d i], for every spectator index j.
+    h_rows = np.concatenate([(ii + d * spectator).ravel(), (spectator + d * kk).ravel()])
+    h_cols = np.concatenate([(kk + d * spectator).ravel(), (spectator + d * ii).ravel()])
+    h_source = np.tile(ii * d + kk, 2 * d)
+    h_coeff = np.repeat([-1j, 1j], d * ii.size)
+    # kappa a rho a' fills L[r + d s, r+1 + d (s+1)] with sqrt(r+1) sqrt(s+1);
+    # -(kappa/2) {a'a, rho} is diagonal, -(r + s)/2 at L[r + d s, r + d s].
+    root = np.sqrt(n[1:])
+    jump_rows = (n[:-1, None] + d * n[None, :-1]).ravel()
+    diag_rows = (n[:, None] + d * n[None, :]).ravel()
+    rows = np.concatenate([h_rows, jump_rows, diag_rows])
+    cols = np.concatenate([h_cols, jump_rows + d + 1, diag_rows])
+    decay_values = np.concatenate(
+        [(root[:, None] * root[None, :]).ravel(), -0.5 * (n[:, None] + n[None, :]).ravel()]
+    )
+
+    size = d * d
+    keys, slot = np.unique(rows.astype(np.int64) * size + cols, return_inverse=True)
+    indices = (keys % size).astype(np.int32)
+    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+    h_to_data = csr_array(
+        (h_coeff, (slot[: h_rows.size], h_source)), shape=(keys.size, size)
+    )
+    decay = np.bincount(slot[h_rows.size :], weights=decay_values, minlength=keys.size)
+    for array in (indices, indptr, decay):
+        array.setflags(write=False)
+    return indices, indptr, h_to_data, decay
+
+
+def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
+    """Generator L with vec(drho/dt) = L vec(rho) under column stacking.
+
+    A sparse CSR matrix whose index arrays are shared, read-only, by every
+    call at the same truncation.
+    """
     d = space.dim
-    a = annihilation(space)
-    n_op = creation(space) @ a
-    h = build_h_eff(p, space)
-    eye = np.eye(d, dtype=complex)
-    unitary = -1j * (kron(eye, h) - kron(h.T, eye))
-    decay = 0.5 * p.kappa * (2.0 * kron(a.conj(), a) - kron(eye, n_op) - kron(n_op.T, eye))
-    return unitary + decay
+    indices, indptr, h_to_data, decay = _pattern(d)
+    data = h_to_data @ build_h_eff(p, space).ravel() + p.kappa * decay
+    return csr_array((data, indices, indptr), shape=(d * d, d * d))
 
 
 def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
@@ -136,47 +183,62 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
 
     One row of the singular Liouvillian (the one with the smallest sup
     norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
-    the square system is then solved by LU.  A reciprocal-condition estimate
-    below 1e-14 raises SteadyStateError rather than returning digits that
-    are mostly noise, as does a solution that fails the DensityMatrix
+    the square system A is then solved by sparse LU (SuperLU).  An exactly
+    singular factor, or a reciprocal 1-norm condition estimate below 1e-14
+    (||A^-1||_1 from onenormest through the factor), raises SteadyStateError
+    rather than returning digits that are mostly noise, as does a residual
+    above 1e-9 ||L||_inf or a solution that fails the DensityMatrix
     physicality checks.
     """
     d = space.dim
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
     big_l = liouvillian(p, space)
+    data, indices, indptr = big_l.data, big_l.indices, big_l.indptr
+    size = d * d
 
-    system = big_l.copy()
-    row_norms = np.max(np.abs(system), axis=1)
-    replaced = int(np.argmin(row_norms))
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[np.arange(d) * (d + 1)] = 1.0  # vec index of rho[n, n] is n*(d+1)
-    system[replaced, :] = trace_row
-    rhs = np.zeros(d * d, dtype=complex)
+    # every row stores its diagonal entry, so no row of the pattern is empty
+    abs_data = np.abs(data)
+    replaced = int(np.argmin(np.maximum.reduceat(abs_data, indptr[:-1])))
+    lo, hi = indptr[replaced], indptr[replaced + 1]
+    trace_cols = np.arange(d, dtype=indices.dtype) * (d + 1)  # vec index of rho[n, n]
+    sys_data = np.concatenate([data[:lo], np.ones(d, dtype=complex), data[hi:]])
+    sys_indices = np.concatenate([indices[:lo], trace_cols, indices[hi:]])
+    sys_indptr = indptr.copy()
+    sys_indptr[replaced + 1 :] += d - (hi - lo)
+    rhs = np.zeros(size, dtype=complex)
     rhs[replaced] = 1.0
 
-    anorm = float(np.linalg.norm(system, 1))
+    # Factor A itself, not A^T from the same arrays: SuperLU's row pivoting on
+    # A keeps the small populations of a graded state accurate (g2 to ~1e-15
+    # where A^T gave ~1e-9), at the price of one O(nnz) CSR -> CSC copy.
+    system = csr_array((sys_data, sys_indices, sys_indptr), shape=(size, size)).tocsc()
     try:
-        lu, piv = lu_factor(system)
-    except LinAlgError as exc:
+        lu = splu(system)
+    except RuntimeError as exc:
         raise SteadyStateError(
             f"singular steady-state system at dim={d}; try a larger truncation "
             f"or different parameters ({exc})"
         ) from exc
-    rcond, info = zgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+    anorm = float(np.max(np.bincount(sys_indices, weights=np.abs(sys_data), minlength=size)))
+    inverse = LinearOperator(
+        (size, size), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"), dtype=complex
+    )
+    # t=1 is the deterministic Hager-Higham estimator that LAPACK's zgecon uses.
+    rcond = 1.0 / (anorm * float(onenormest(inverse, t=1)))
+    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise SteadyStateError(
             f"steady-state system too ill-conditioned at dim={d} "
             f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
         )
-    vec = lu_solve((lu, piv), rhs)
+    vec = lu.solve(rhs)
 
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.real(np.trace(rho))
 
     residual = float(np.max(np.abs(big_l @ rho.flatten(order="F"))))
-    scale = float(np.linalg.norm(big_l, np.inf))
+    scale = float(np.max(np.add.reduceat(abs_data, indptr[:-1])))
     if residual > 1e-9 * scale:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}"

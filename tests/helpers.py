@@ -5,8 +5,28 @@ import math
 import numpy as np
 
 import blockade.steady
-from blockade.fock import FockSpace
-from blockade.steady import liouvillian
+from blockade.fock import FockSpace, annihilation, creation
+from blockade.model import build_h_eff
+
+
+def dense_liouvillian(params, dim):
+    """Dense Liouvillian written straight from the master equation,
+
+        drho/dt = -i [H, rho] + (kappa/2) (2 a rho a' - a'a rho - rho a'a),
+
+    with vec(A rho B) = kron(B.T, A) vec(rho) under column stacking.  It
+    shares only build_h_eff with the solver, not its sparse pattern.
+    """
+    space = FockSpace(dim)
+    a = annihilation(space)
+    n_op = creation(space) @ a
+    h = build_h_eff(params, space)
+    eye = np.eye(dim, dtype=complex)
+    unitary = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    decay = 0.5 * params.kappa * (
+        2.0 * np.kron(a.conj(), a) - np.kron(eye, n_op) - np.kron(n_op.T, eye)
+    )
+    return unitary + decay
 
 
 def rk4_steady(params, dim, t_final=None):
@@ -18,8 +38,7 @@ def rk4_steady(params, dim, t_final=None):
     result agrees with the true steady state far below the 1e-6 comparison
     tolerance.  Returns the raw density matrix as an ndarray.
     """
-    space = FockSpace(dim)
-    gen = liouvillian(params, space)
+    gen = dense_liouvillian(params, dim)
     if t_final is None:
         t_final = 50.0 / params.kappa
     dt = 1.0 / np.linalg.norm(gen, np.inf)

@@ -150,6 +150,14 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 1
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "utf16.json"
+        config.write_bytes(b"\xff\xfe" + '{"f": 0.1}'.encode("utf-16-le"))
+        assert main(["solve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config file: ")
+        assert len(err.splitlines()) == 1
+
     def test_malformed_corpus_never_raises(self, capsys):
         corpus = [
             [],

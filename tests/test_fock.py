@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockade.fock import FockSpace, adjoint, annihilation, creation, expectation, kron
+from blockade.fock import FockSpace, annihilation, creation, expectation
 
 
 def ketbra(dim, n):
@@ -44,42 +44,13 @@ def test_creation_is_adjoint_of_annihilation():
     ad = creation(FockSpace(3))
     assert ad[1, 0] == 1.0
     assert ad[2, 1] == pytest.approx(np.sqrt(2.0))
-    np.testing.assert_array_equal(adjoint(creation(FockSpace(6))), annihilation(FockSpace(6)))
+    np.testing.assert_array_equal(creation(FockSpace(6)).conj().T, annihilation(FockSpace(6)))
 
 
 def test_number_operator_diagonal():
     space = FockSpace(4)
     n_op = creation(space) @ annihilation(space)
     np.testing.assert_allclose(n_op, np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex), atol=1e-15)
-
-
-def test_adjoint_scalar_and_involution():
-    np.testing.assert_array_equal(adjoint(np.array([[1j]])), np.array([[-1j]]))
-    h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]])
-    np.testing.assert_array_equal(adjoint(h), h)
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(adjoint(adjoint(m)), m)
-    for i in range(3):
-        for j in range(3):
-            assert adjoint(m)[j, i] == np.conj(m[i, j])
-
-
-def test_kron_identities():
-    i2 = np.eye(2, dtype=complex)
-    np.testing.assert_array_equal(kron(i2, i2), np.eye(4, dtype=complex))
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    np.testing.assert_array_equal(kron(np.array([[2.0]]), b), 2.0 * b)
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_expectation_examples():

@@ -75,6 +75,27 @@ class TestHamiltonian:
             h = build_h_eff(random_params(rng), FockSpace(8))
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_matches_ladder_operator_products(self, dim):
+        # H as written in the docstring, from products of a and a'
+        space = FockSpace(dim)
+        a = annihilation(space)
+        ad = creation(space)
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            p = random_params(rng)
+            drive = p.f * np.exp(1j * p.phi)
+            expected = (
+                p.delta * (ad @ a)
+                + p.u * (ad @ ad @ a @ a)
+                + 1j * p.g * (ad @ ad - a @ a)
+                + drive * ad
+                + np.conj(drive) * a
+            )
+            h = build_h_eff(p, space)
+            assert h.shape == (dim, dim)
+            np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14 * max(1.0, np.abs(expected).max()))
+
     def test_drive_couples_adjacent_states_only(self):
         p = SystemParams(f=0.3, phi=0.7)
         h = build_h_eff(p, FockSpace(6))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import force_unphysical, rk4_steady, weak_drive_draw
+from helpers import dense_liouvillian, force_unphysical, rk4_steady, weak_drive_draw
 
+import blockade.steady
 from blockade.analytic import optimal_g
 from blockade.fock import FockSpace, annihilation, expectation
 from blockade.model import SystemParams
@@ -56,7 +57,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(43)
         for _ in range(10):
             p = random_params(rng)
-            gen = liouvillian(p, FockSpace(6))
+            gen = liouvillian(p, FockSpace(6)).toarray()
             m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             rho = m + m.conj().T
             rho = rho / np.trace(rho).real
@@ -67,9 +68,27 @@ class TestLiouvillian:
         rng = np.random.default_rng(47)
         for _ in range(10):
             p = random_params(rng)
-            gen = liouvillian(p, FockSpace(8))
+            gen = liouvillian(p, FockSpace(8)).toarray()
             tr_vec = vec(np.eye(8, dtype=complex))
             assert np.max(np.abs(tr_vec @ gen)) <= 1e-10 * np.linalg.norm(gen, np.inf)
+
+    @pytest.mark.parametrize("dim", [3, 4, 7, 12])
+    def test_matches_dense_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            p = random_params(rng, u_min=0.0).replace(kappa=float(rng.uniform(0.5, 2)))
+            dense = dense_liouvillian(p, dim)
+            gen = liouvillian(p, FockSpace(dim))
+            assert gen.shape == dense.shape
+            err = np.max(np.abs(gen.toarray() - dense))
+            assert err <= 1e-14 * np.linalg.norm(dense, np.inf)
+
+    def test_pattern_shared_per_dim(self):
+        first = liouvillian(SystemParams(f=0.3, g=0.1), FockSpace(9))
+        second = liouvillian(SystemParams(u=1.0, delta=-0.5), FockSpace(9))
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
+        assert not first.indices.flags.writeable
 
 
 class TestSteadyState:
@@ -101,6 +120,15 @@ class TestSteadyState:
         assert expectation(a, rho.entries) == pytest.approx(alpha, abs=1e-9)
         assert observables(rho).mean_photon == pytest.approx(abs(alpha) ** 2, abs=1e-9)
 
+    def test_far_detuned_coherent_state_keeps_g2_digits(self):
+        # N ~ 1e-3, so g2 = <n(n-1)>/N^2 needs P(2) ~ 6e-7 to full relative
+        # precision; a solve that is only backward stable in norm loses it
+        for delta in (-3.0, 3.0):
+            p = SystemParams(delta=delta, f=0.1)
+            obs = observables(steady_state(p, FockSpace(18)))
+            assert obs.mean_photon == pytest.approx(p.f**2 / (delta**2 + 0.25), rel=1e-13)
+            assert abs(obs.g2 - 1.0) < 1e-12
+
     def test_blockade_point_is_sub_poissonian(self):
         p = SystemParams(delta=0.0, u=0.5, g=0.0273, f=0.1, phi=math.pi / 12)
         obs = observables(steady_state(p, FockSpace(18)))
@@ -111,6 +139,41 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="forced") as excinfo:
             steady_state(SystemParams(f=0.1), FockSpace(12))
         assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_ill_conditioned_system_is_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(blockade.steady, "RCOND_FLOOR", 1.0)
+        with pytest.raises(SteadyStateError, match="ill-conditioned"):
+            steady_state(SystemParams(f=0.1), FockSpace(12))
+
+    def test_singular_factor_is_solver_failure(self, monkeypatch):
+        # an all-zero generator leaves only the trace row: exactly singular
+        build = blockade.steady.liouvillian
+
+        def zero_generator(p, space):
+            gen = build(p, space)
+            gen.data[:] = 0.0
+            return gen
+
+        monkeypatch.setattr(blockade.steady, "liouvillian", zero_generator)
+        with pytest.raises(SteadyStateError, match="singular") as excinfo:
+            steady_state(SystemParams(f=0.1), FockSpace(12))
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    def test_off_ladder_dim_matches_dense_kernel(self):
+        p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
+        dim = 7
+        _, _, vh = np.linalg.svd(dense_liouvillian(p, dim))
+        kernel = vh[-1].conj().reshape((dim, dim), order="F")
+        kernel = kernel / np.trace(kernel)
+        rho = steady_state(p, FockSpace(dim)).entries
+        assert np.max(np.abs(rho - kernel)) < 1e-12
+
+    def test_pattern_cache_is_bounded(self):
+        cache = blockade.steady._pattern
+        limit = cache.cache_info().maxsize
+        for dim in range(3, 3 + limit + 4):
+            steady_state(SystemParams(f=0.1), FockSpace(dim))
+        assert cache.cache_info().currsize <= limit
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
