@@ -40,8 +40,6 @@ _DEFAULTS = {
     "output": None,
 }
 
-_CONFIG_KEYS = set(_DEFAULTS)
-
 
 class CliUsageError(ValueError):
     """Malformed invocation: bad flag value, bad config, conflicting options."""
@@ -51,14 +49,12 @@ class CliUsageError(ValueError):
 class RunConfig:
     """Fully resolved invocation.
 
-    params carries every knob after merging; param_overrides records only
-    the knobs the user set explicitly, so presets can be overridden without
-    the silent defaults clobbering their fixed parameters.
+    For a preset sweep, params is the preset's base with the explicitly set
+    knobs applied, and axes are the preset's unless axes were given.
     """
 
     command: str
     params: SystemParams
-    param_overrides: dict
     preset: str | None
     axes: list[GridAxis] | None
     output_path: str | None
@@ -139,7 +135,7 @@ def parse_axis(text: str) -> GridAxis:
 
 def _check_config_types(config: dict) -> None:
     for key, value in config.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise CliUsageError(f"unknown config field {key!r}")
         if key in ("preset", "output", "format"):
             if not isinstance(value, str):
@@ -181,38 +177,19 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
             raise CliUsageError("config file must hold a JSON object")
         _check_config_types(config)
 
-    def resolve(key, flag_value):
-        if flag_value is not None:
-            return flag_value, "flag"
-        if key in config and config[key] is not None:
-            return config[key], "config"
-        return _DEFAULTS[key], "default"
-
-    overrides = {}
-    params_kwargs = {}
-    for name in PARAM_FIELDS:
-        value, source = resolve(name, getattr(namespace, name, None))
-        params_kwargs[name] = float(value)
-        if source != "default":
-            overrides[name] = float(value)
+    flags = {k: v for k, v in vars(namespace).items() if k in _DEFAULTS and v is not None}
+    given = {**config, **flags}
+    values = {**_DEFAULTS, **given}
     try:
-        params = SystemParams(**params_kwargs)
+        params = SystemParams(**{name: values[name] for name in PARAM_FIELDS})
     except (TypeError, ValueError) as exc:
         raise CliUsageError(str(exc)) from exc
 
-    tol, _ = resolve("tol", getattr(namespace, "tol", None))
-    max_dim, _ = resolve("max_dim", getattr(namespace, "max_dim", None))
-    fmt, _ = resolve("format", getattr(namespace, "format", None))
-    omega_a, _ = resolve("omega_a", getattr(namespace, "omega_a", None))
-    n_max, _ = resolve("n_max", getattr(namespace, "n_max", None))
-    preset_id, _ = resolve("preset", getattr(namespace, "preset", None))
-    output, _ = resolve("output", getattr(namespace, "output", None))
-    axis_spec, _ = resolve("axis", getattr(namespace, "axis", None))
-
-    if fmt not in ("csv", "json"):
-        raise CliUsageError(f"format must be csv or json, got {fmt!r}")
+    if values["format"] not in ("csv", "json"):
+        raise CliUsageError(f"format must be csv or json, got {values['format']!r}")
 
     axes = None
+    axis_spec = values["axis"]
     if axis_spec is not None:
         if isinstance(axis_spec, str):
             axis_spec = [axis_spec]
@@ -220,6 +197,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if not 1 <= len(axes) <= 2:
             raise CliUsageError(f"expected one or two axes, got {len(axes)}")
 
+    preset_id = values["preset"]
     if namespace.command == "sweep":
         if preset_id is None and axes is None:
             raise CliUsageError("sweep needs --preset or at least one --axis")
@@ -229,18 +207,26 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if preset_id is not None:
             raise CliUsageError(f"{namespace.command} does not accept a preset")
 
+    if preset_id is not None:
+        try:
+            base, preset_axes = preset(preset_id)
+        except ValueError as exc:
+            raise CliUsageError(str(exc)) from exc
+        params = base.replace(**{name: given[name] for name in PARAM_FIELDS if name in given})
+        if axes is None:
+            axes = preset_axes
+
     return RunConfig(
         command=namespace.command,
         params=params,
-        param_overrides=overrides,
         preset=preset_id,
         axes=axes,
-        output_path=output,
-        format=fmt,
-        tol=float(tol),
-        max_dim=int(max_dim),
-        omega_a=float(omega_a),
-        n_max=int(n_max),
+        output_path=values["output"],
+        format=values["format"],
+        tol=float(values["tol"]),
+        max_dim=int(values["max_dim"]),
+        omega_a=float(values["omega_a"]),
+        n_max=int(values["n_max"]),
     )
 
 
@@ -263,18 +249,15 @@ CSV_HEADER = (
 )
 
 
-def _row_record(row) -> dict:
+def _row_record(row, axes) -> dict:
+    names = [axis.param for axis in axes] + [None]
+    params = {name: getattr(row.params, name) for name in PARAM_FIELDS}
     return {
-        "axis1_name": row.axis1_name,
-        "axis1_value": row.axis1_value,
-        "axis2_name": row.axis2_name,
-        "axis2_value": row.axis2_value,
-        "delta": row.params.delta,
-        "u": row.params.u,
-        "g": row.params.g,
-        "f": row.params.f,
-        "phi": row.params.phi,
-        "kappa": row.params.kappa,
+        "axis1_name": names[0],
+        "axis1_value": params[names[0]],
+        "axis2_name": names[1],
+        "axis2_value": params.get(names[1]),
+        **params,
         "dim": row.dim,
         "n_mean": row.n_mean,
         "g2": row.g2,
@@ -287,22 +270,15 @@ def _row_record(row) -> dict:
 def sweep_to_csv(result: SweepResult) -> str:
     lines = [CSV_HEADER]
     for row in result.rows:
-        record = _row_record(row)
-        cells = []
-        for key in CSV_HEADER.split(","):
-            value = record[key]
-            if key in ("axis1_name", "axis2_name", "status"):
-                cells.append(value if value is not None else "NA")
-            else:
-                cells.append(format_value(value))
-        lines.append(",".join(cells))
+        record = _row_record(row, result.axes).values()
+        lines.append(",".join(v if isinstance(v, str) else format_value(v) for v in record))
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_json(result: SweepResult) -> str:
     doc = {
         "metadata": dict(result.metadata),
-        "rows": [_row_record(row) for row in result.rows],
+        "rows": [_row_record(row, result.axes) for row in result.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -370,22 +346,7 @@ def execute(cfg: RunConfig) -> int:
             return 0
 
         # sweep
-        base = cfg.params
-        axes = cfg.axes
-        preset_name = cfg.preset
-        if preset_name is not None:
-            try:
-                base, preset_axes = preset(preset_name)
-            except ValueError as exc:
-                print(f"usage error: {exc}", file=err)
-                return 2
-            if cfg.param_overrides:
-                base = base.replace(**cfg.param_overrides)
-            if axes is None:
-                axes = preset_axes
-        result = run_sweep(
-            base, axes, cfg.tol, max_dim=cfg.max_dim, preset_name=preset_name
-        )
+        result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim, preset_name=cfg.preset)
         text = sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result)
         try:
             _emit(text, cfg.output_path)

@@ -10,16 +10,19 @@ documented defaults here and remain overridable by the caller.
 Grid points are independent solves, so the engine can fan them out over a
 process pool; results are always assembled in grid order, making output
 independent of the degree of parallelism.  The BLOCKADE_THREADS environment
-variable caps the pool size (default: machine CPU count).
+variable sets the requested pool size (default: machine CPU count); the pool
+never holds more processes than the machine has CPUs or the grid has points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -63,7 +66,7 @@ class GridAxis:
             values = tuple(float(v) for v in self.values)
             if len(values) != self.count:
                 raise ValueError("explicit values must match count")
-            if any(b <= a for a, b in zip(values, values[1:])):
+            if not all(a < b for a, b in zip(values, values[1:])):
                 raise ValueError("explicit values must be strictly increasing")
             if values[0] != self.min or values[-1] != self.max:
                 raise ValueError("explicit values must span [min, max]")
@@ -90,10 +93,6 @@ class GridAxis:
 class SweepRow:
     """Observables at one grid point; status FAIL marks a per-point solver failure."""
 
-    axis1_name: str
-    axis1_value: float
-    axis2_name: str | None
-    axis2_value: float | None
     params: SystemParams
     dim: int | None
     n_mean: float | None
@@ -119,18 +118,13 @@ class SweepResult:
             raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
 
 
-def _evaluate_point(task) -> SweepRow:
-    axis1_name, axis1_value, axis2_name, axis2_value, params, tol, max_dim = task
+def _evaluate_point(params: SystemParams, tol: float, max_dim: int) -> SweepRow:
     try:
         _, obs, dim = converged_steady_state(params, tol, max_dim=max_dim)
     except SteadyStateError:
         obs, dim = None, None
     ok = obs is not None
     return SweepRow(
-        axis1_name=axis1_name,
-        axis1_value=axis1_value,
-        axis2_name=axis2_name,
-        axis2_value=axis2_value,
         params=params,
         dim=dim,
         n_mean=obs.mean_photon if ok else None,
@@ -183,26 +177,19 @@ def run_sweep(
     # Grid parameters are constructed (and validated) up front so that a bad
     # range, e.g. a negative drive strength, fails fast instead of emitting
     # thousands of FAIL rows.
-    tasks = []
-    if len(axes) == 1:
-        (axis,) = axes
-        for value in axis.points():
-            params = base.replace(**{axis.param: float(value)})
-            tasks.append((axis.param, float(value), None, None, params, tol, max_dim))
-    else:
-        axis1, axis2 = axes
-        for v1 in axis1.points():
-            for v2 in axis2.points():
-                params = base.replace(**{axis1.param: float(v1), axis2.param: float(v2)})
-                tasks.append((axis1.param, float(v1), axis2.param, float(v2), params, tol, max_dim))
+    points = [
+        base.replace(**{axis.param: float(v) for axis, v in zip(axes, values)})
+        for values in itertools.product(*(axis.points() for axis in axes))
+    ]
+    evaluate = partial(_evaluate_point, tol=tol, max_dim=max_dim)
 
-    n_workers = _resolve_workers(workers)
-    if n_workers == 1 or len(tasks) < 4:
-        rows = tuple(_evaluate_point(task) for task in tasks)
+    n_workers = min(_resolve_workers(workers), os.cpu_count() or 1, len(points))
+    if n_workers == 1 or len(points) < 4:
+        rows = tuple(map(evaluate, points))
     else:
-        chunk = max(1, len(tasks) // (8 * n_workers))
+        chunk = max(1, len(points) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = tuple(pool.map(_evaluate_point, tasks, chunksize=chunk))
+            rows = tuple(pool.map(evaluate, points, chunksize=chunk))
 
     dims_used = sorted({row.dim for row in rows if row.dim is not None})
     metadata = {

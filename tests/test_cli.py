@@ -19,7 +19,7 @@ from blockade.cli import (
     sweep_to_json,
 )
 from blockade.model import SystemParams
-from blockade.sweep import GridAxis, run_sweep
+from blockade.sweep import GridAxis, preset, run_sweep
 
 
 def stdout_fields(captured: str) -> dict:
@@ -46,7 +46,11 @@ class TestParseConfig:
         cfg = parse_config(["sweep", "--preset", "fig1a", "--format", "json"])
         assert cfg.preset == "fig1a"
         assert cfg.format == "json"
-        assert cfg.axes is None
+        assert (cfg.params, cfg.axes) == preset("fig1a")
+
+    def test_config_overrides_preset_base(self):
+        cfg = parse_config(["sweep", "--preset", "fig1a"], config_text='{"u": 0.7}')
+        assert cfg.params == preset("fig1a")[0].replace(u=0.7)
 
     def test_flags_override_config_overrides_defaults(self):
         cfg = parse_config(["solve", "--f", "0.1"], config_text='{"f": 0.2, "tol": 1e-4}')
@@ -57,7 +61,6 @@ class TestParseConfig:
     def test_config_alone_sets_params(self):
         cfg = parse_config(["solve"], config_text='{"f": 0.25, "u": 1.5}')
         assert cfg.params.f == 0.25 and cfg.params.u == 1.5
-        assert cfg.param_overrides == {"f": 0.25, "u": 1.5}
 
     def test_malformed_config_json(self):
         with pytest.raises(CliUsageError):
@@ -257,7 +260,7 @@ class TestSerialization:
         rows = list(reader)
         assert len(rows) == 6
         for parsed, row in zip(rows, small_result.rows):
-            assert float(parsed["axis1_value"]) == row.axis1_value
+            assert float(parsed["axis1_value"]) == row.params.f
             assert float(parsed["n_mean"]) == row.n_mean
             assert float(parsed["g2"]) == row.g2
             assert parsed["status"] == "OK"
@@ -283,7 +286,7 @@ class TestSerialization:
         assert metadata["dims_used"] == small_result.metadata["dims_used"]
         assert len(rows) == len(small_result.rows)
         for parsed, row in zip(rows, small_result.rows):
-            assert parsed["axis1_value"] == row.axis1_value
+            assert parsed["axis1_value"] == row.params.f
             assert parsed["n_mean"] == row.n_mean
             assert parsed["g2"] == row.g2
             assert parsed["lg_g2"] == row.lg_g2

@@ -1,0 +1,56 @@
+"""README's `$ blockade ...` examples, run through cli.main against their printed output.
+
+Every `key = value` line shown under an example must match what the command
+prints: `dim` exactly, numbers to 1e-12 relative.  A list ending in `,...`
+(the populations line) is compared on the values it lists.
+"""
+
+import shlex
+from pathlib import Path
+
+import pytest
+
+from blockade.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[str, dict]]:
+    examples = []
+    current = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ blockade "):
+            current = {}
+            examples.append((line[2:], current))
+        elif current is not None and " = " in line:
+            key, value = line.split(" = ", 1)
+            current[key] = value
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_has_examples_with_output():
+    assert len(EXAMPLES) >= 2
+    assert all(expected for _, expected in EXAMPLES)
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[cmd for cmd, _ in EXAMPLES])
+def test_readme_example_output(command, expected, capsys):
+    assert main(shlex.split(command)[1:]) == 0
+    printed = dict(
+        line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    for key, value in expected.items():
+        if key == "dim":
+            assert printed[key] == value
+            continue
+        shown = value.removesuffix(",...").split(",")
+        actual = printed[key].split(",")[: len(shown)]
+        assert len(actual) == len(shown), key
+        assert [float(x) for x in actual] == pytest.approx(
+            [float(x) for x in shown], rel=1e-12, abs=0.0
+        ), key

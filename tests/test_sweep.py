@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import force_unphysical
 
+from blockade import sweep
 from blockade.model import SystemParams
 from blockade.sweep import GridAxis, optimal_curve, preset, run_sweep
 
@@ -74,6 +76,8 @@ class TestGridAxis:
     def test_explicit_values_must_increase(self):
         with pytest.raises(ValueError):
             GridAxis.explicit("g", (0.2, 0.1))
+        with pytest.raises(ValueError):
+            GridAxis.explicit("f", (0.0, math.nan, 1.0))
 
 
 class TestRunSweep:
@@ -82,7 +86,7 @@ class TestRunSweep:
         axes = [GridAxis.linear("f", 0.0, 0.1, 2), GridAxis.linear("g", 0.0, 0.01, 2)]
         result = run_sweep(base, axes, workers=1)
         assert len(result.rows) == 4
-        f0_rows = [r for r in result.rows if r.axis1_value == 0.0 and r.axis2_value == 0.0]
+        f0_rows = [r for r in result.rows if r.params.f == 0.0 and r.params.g == 0.0]
         assert len(f0_rows) == 1
         assert f0_rows[0].n_mean == 0.0
         assert f0_rows[0].g2 is None
@@ -92,15 +96,16 @@ class TestRunSweep:
         base = SystemParams(u=0.5)
         axes = [GridAxis.linear("f", 0.1, 0.2, 2), GridAxis.linear("g", 0.0, 0.02, 3)]
         result = run_sweep(base, axes, workers=1)
-        seen = [(r.axis1_value, r.axis2_value) for r in result.rows]
+        seen = [(r.params.f, r.params.g) for r in result.rows]
         expected = [(f, g) for f in (0.1, 0.2) for g in (0.0, 0.01, 0.02)]
         assert seen == pytest.approx(expected)
-        assert all(r.params.f == r.axis1_value and r.params.g == r.axis2_value for r in result.rows)
+        assert all(r.params.u == 0.5 for r in result.rows)
 
     def test_single_axis_sweep(self):
         result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", -1.0, 1.0, 5)], workers=1)
         assert len(result.rows) == 5
-        assert all(r.axis2_name is None and r.axis2_value is None for r in result.rows)
+        assert [r.params.delta for r in result.rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert all(r.params.f == 0.1 for r in result.rows)
 
     def test_deterministic_rows(self):
         base = SystemParams(u=0.5, phi=math.pi / 12)
@@ -123,6 +128,32 @@ class TestRunSweep:
         monkeypatch.setenv("BLOCKADE_THREADS", "zero")
         with pytest.raises(ValueError):
             run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)])
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 5), (3, 3)])
+    def test_pool_capped_by_cpus_and_points(self, monkeypatch, cpus, expected):
+        # A stand-in executor records the pool size and maps in-process, so
+        # no worker process is ever started.
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("BLOCKADE_THREADS", "500")
+        result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 5)])
+        assert sizes == [expected]
+        assert len(result.rows) == 5
 
     def test_rejects_duplicate_parameters(self):
         axes = [GridAxis.linear("f", 0.0, 0.1, 2), GridAxis.linear("f", 0.0, 0.2, 2)]
