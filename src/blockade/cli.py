@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from .analytic import (
@@ -151,6 +152,10 @@ def _check_config_types(config: dict) -> None:
         else:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise CliUsageError(f"config field {key!r} must be a number")
+            try:
+                float(value)
+            except OverflowError as exc:
+                raise CliUsageError(f"config field {key!r} is too large: {exc}") from exc
 
 
 def parse_config(argv, config_text: str | None = None) -> RunConfig:
@@ -288,14 +293,6 @@ def load_sweep_json(text: str) -> tuple[dict, list[dict]]:
     return doc["metadata"], doc["rows"]
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def execute(cfg: RunConfig) -> int:
     """Run the resolved command; returns the process exit code."""
     out = sys.stdout
@@ -345,14 +342,24 @@ def execute(cfg: RunConfig) -> int:
                 print(f"{level.n},{format_value(level.energy)}", file=out)
             return 0
 
-        # sweep
-        result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim, preset_name=cfg.preset)
-        text = sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result)
+        # sweep: the output is opened before solving, so a bad path costs no
+        # work, and emptied only once the grid is solved, so a sweep that
+        # fails on the way leaves an existing file as it was
         try:
-            _emit(text, cfg.output_path)
+            sink = nullcontext(out) if cfg.output_path is None else open(cfg.output_path, "a", encoding="utf-8")
         except OSError as exc:
             print(f"cannot write output: {exc}", file=err)
             return 1
+        with sink as handle:
+            result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim, preset_name=cfg.preset)
+            try:
+                if handle is not out:
+                    handle.truncate(0)
+                handle.write(sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result))
+                handle.flush()
+            except OSError as exc:
+                print(f"cannot write output: {exc}", file=err)
+                return 1
         return 0
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=err)

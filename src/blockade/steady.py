@@ -12,7 +12,10 @@ pattern computed once per truncation D; each parameter point only fills in
 the data, which is affine in H and kappa.  The steady state is the
 unit-trace kernel vector of the Liouvillian, found by replacing one row of
 the singular system with the vectorized trace constraint and solving the
-resulting square system with SuperLU (partial pivoting).  Truncation is
+resulting square system with SuperLU.  The system is factored as P A P^T,
+under a symmetric minimum-degree ordering of A + A^T that is computed once
+per (truncation, replaced row) and applied by a cached gather, with
+diagonal-preferring threshold pivoting.  Truncation is
 controlled by re-solving at growing dimension until the observables stop
 moving on a log10 scale.
 """
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .fock import FockSpace
@@ -166,6 +169,48 @@ def _pattern(d: int):
     return indices, indptr, h_to_data, decay
 
 
+@functools.lru_cache(maxsize=16)
+def _system(d: int, replaced: int):
+    """Layout of the trace-constrained system at truncation d, shared by every point.
+
+    The system A is L with row `replaced` swapped for the trace functional.
+    It is stored as P A P^T, with P the symmetric minimum-degree ordering of
+    A + A^T (SuperLU's "symmetric mode"), which fills far less than a fresh
+    COLAMD ordering per call.  Returns (order, take, indices, indptr): the
+    ordering, so that P A P^T = A[order][:, order]; the CSC index arrays of
+    that matrix; and the gather `take`, which reads its data from
+    np.append(L.data, 1.0), whose trailing 1 fills every trace-row entry.
+    The ordering is computed from the pattern alone (a probe with unit
+    entries and a dominant diagonal), so it does not depend on which point
+    is solved first.
+    """
+    indices, indptr, _, _ = _pattern(d)
+    size = d * d
+    rows = np.repeat(np.arange(size), np.diff(indptr))
+    keep = rows != replaced
+    rows = np.concatenate([rows[keep], np.full(d, replaced)])
+    cols = np.concatenate([indices[keep], np.arange(d) * (d + 1)])  # vec index of rho[n, n]
+    source = np.concatenate([np.flatnonzero(keep), np.full(d, indices.size)])
+
+    # A row of L holds at most nine off-diagonal entries and the trace row d,
+    # so a diagonal of 4d makes the probe strictly dominant, hence nonsingular.
+    diag = np.arange(size)
+    probe_values = np.concatenate([np.ones(rows.size), np.full(size, 4.0 * d)])
+    probe_rows, probe_cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    probe = csc_array((probe_values, (probe_rows, probe_cols)), shape=(size, size))
+    position = splu(probe, permc_spec="MMD_AT_PLUS_A").perm_c  # new index of each old one
+    order = np.argsort(position)
+
+    sys_rows, sys_cols = position[rows], position[cols]
+    sort = np.argsort(sys_cols.astype(np.int64) * size + sys_rows)
+    take = source[sort]
+    sys_indices = sys_rows[sort].astype(np.int32)
+    sys_indptr = np.searchsorted(sys_cols[sort], np.arange(size + 1)).astype(np.int32)
+    for array in (order, take, sys_indices, sys_indptr):
+        array.setflags(write=False)
+    return order, take, sys_indices, sys_indptr
+
+
 def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
     """Generator L with vec(drho/dt) = L vec(rho) under column stacking.
 
@@ -183,44 +228,41 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
 
     One row of the singular Liouvillian (the one with the smallest sup
     norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
-    the square system A is then solved by sparse LU (SuperLU).  An exactly
-    singular factor, or a reciprocal 1-norm condition estimate below 1e-14
-    (||A^-1||_1 from onenormest through the factor), raises SteadyStateError
-    rather than returning digits that are mostly noise, as does a residual
-    above 1e-9 ||L||_inf or a solution that fails the DensityMatrix
-    physicality checks.
+    the square system A is then solved by sparse LU (SuperLU), factored as
+    P A P^T on the symmetric minimum-degree ordering cached per (d, replaced
+    row) and with pivoting that prefers the diagonal.  An exactly singular
+    factor, or a reciprocal 1-norm condition estimate below 1e-14
+    (||A^-1||_1 from onenormest through the factor; both norms are
+    invariant under P A P^T), raises SteadyStateError rather than returning
+    digits that are mostly noise, as does a residual above 1e-9 ||L||_inf
+    or a solution that fails the DensityMatrix physicality checks.
     """
     d = space.dim
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
     big_l = liouvillian(p, space)
-    data, indices, indptr = big_l.data, big_l.indices, big_l.indptr
+    data, indptr = big_l.data, big_l.indptr
     size = d * d
 
     # every row stores its diagonal entry, so no row of the pattern is empty
     abs_data = np.abs(data)
     replaced = int(np.argmin(np.maximum.reduceat(abs_data, indptr[:-1])))
-    lo, hi = indptr[replaced], indptr[replaced + 1]
-    trace_cols = np.arange(d, dtype=indices.dtype) * (d + 1)  # vec index of rho[n, n]
-    sys_data = np.concatenate([data[:lo], np.ones(d, dtype=complex), data[hi:]])
-    sys_indices = np.concatenate([indices[:lo], trace_cols, indices[hi:]])
-    sys_indptr = indptr.copy()
-    sys_indptr[replaced + 1 :] += d - (hi - lo)
-    rhs = np.zeros(size, dtype=complex)
-    rhs[replaced] = 1.0
-
-    # Factor A itself, not A^T from the same arrays: SuperLU's row pivoting on
-    # A keeps the small populations of a graded state accurate (g2 to ~1e-15
-    # where A^T gave ~1e-9), at the price of one O(nnz) CSR -> CSC copy.
-    system = csr_array((sys_data, sys_indices, sys_indptr), shape=(size, size)).tocsc()
+    order, take, sys_indices, sys_indptr = _system(d, replaced)
+    sys_data = np.append(data, 1.0)[take]
+    # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
+    # small populations of a graded state accurate (g2 to ~1e-15 where A^T
+    # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
+    # wherever it is within a factor 100 of its column's largest candidate.
+    system = csc_array((sys_data, sys_indices, sys_indptr), shape=(size, size))
     try:
-        lu = splu(system)
+        lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.01)
     except RuntimeError as exc:
         raise SteadyStateError(
             f"singular steady-state system at dim={d}; try a larger truncation "
             f"or different parameters ({exc})"
         ) from exc
-    anorm = float(np.max(np.bincount(sys_indices, weights=np.abs(sys_data), minlength=size)))
+    # every column holds an entry of H's band, so no column is empty
+    anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
     inverse = LinearOperator(
         (size, size), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"), dtype=complex
     )
@@ -231,7 +273,8 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
             f"steady-state system too ill-conditioned at dim={d} "
             f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
         )
-    vec = lu.solve(rhs)
+    vec = np.empty(size, dtype=complex)
+    vec[order] = lu.solve((order == replaced).astype(complex))
 
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import force_unphysical
 
+import blockade.cli
 from blockade.cli import (
     CSV_HEADER,
     CliUsageError,
@@ -149,6 +150,34 @@ class TestExitCodes:
         missing_dir = tmp_path / "missing" / "out.csv"
         code = main(["sweep", "--axis", "delta:0:1:2", "--f", "0.1", "--output", str(missing_dir)])
         assert code == 1
+
+    def test_unwritable_output_fails_before_solving(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid was solved before the output was opened")
+
+        monkeypatch.setattr(blockade.cli, "run_sweep", never)
+        missing_dir = tmp_path / "missing" / "out.csv"
+        code = main(["sweep", "--axis", "delta:0:1:2", "--f", "0.1", "--output", str(missing_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert len(err.splitlines()) == 1
+
+    def test_failed_sweep_leaves_existing_output(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("earlier result\n", encoding="utf-8")
+        argv = ["sweep", "--axis", "f:0:1:2", "--axis", "f:0:1:3", "--output", str(target)]
+        assert main(argv) == 2  # run_sweep rejects two axes on one parameter
+        assert target.read_text(encoding="utf-8") == "earlier result\n"
+
+    @pytest.mark.parametrize("field", ["f", "tol"])
+    def test_config_integer_too_large_for_float(self, capsys, tmp_path, field):
+        config = tmp_path / "big.json"
+        config.write_text('{"%s": %s}' % (field, "9" * 400), encoding="utf-8")
+        assert main(["solve", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config field {field!r} is too large")
+        assert len(err.splitlines()) == 1
 
     def test_missing_config_file(self, capsys, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 1
@@ -327,6 +356,9 @@ class TestSweepCommand:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+        path.write_text("a longer earlier result\n" * 50)
+        assert main(["sweep", "--axis", "delta:0:1:3", "--f", "0.1", "--output", str(path)]) == 0
+        assert path.read_text().strip().splitlines() == lines
 
     def test_preset_base_overridable(self, capsys):
         # overriding the preset's fixed drive must show up in every row

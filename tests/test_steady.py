@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from helpers import dense_liouvillian, force_unphysical, rk4_steady, weak_drive_draw
 
@@ -169,11 +171,66 @@ class TestSteadyState:
         assert np.max(np.abs(rho - kernel)) < 1e-12
 
     def test_pattern_cache_is_bounded(self):
-        cache = blockade.steady._pattern
-        limit = cache.cache_info().maxsize
+        caches = (blockade.steady._pattern, blockade.steady._system)
+        limit = max(cache.cache_info().maxsize for cache in caches)
         for dim in range(3, 3 + limit + 4):
             steady_state(SystemParams(f=0.1), FockSpace(dim))
-        assert cache.cache_info().currsize <= limit
+        for cache in caches:
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+    @pytest.mark.parametrize("dim", [4, 7])
+    def test_system_layout_matches_dense_oracle(self, dim):
+        # rows 1, d+1 and d^2-1 are never the stock choice; row 1 (rho[1, 0])
+        # is a coherence, whose trace row has no diagonal entry, and d+1 and
+        # d^2-1 are the populations rho[1, 1] and rho[d-1, d-1]
+        p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
+        dense = dense_liouvillian(p, dim)
+        data = liouvillian(p, FockSpace(dim)).data
+        size = dim * dim
+        for replaced in (0, 1, dim + 1, size - 1):
+            order, take, indices, indptr = blockade.steady._system(dim, replaced)
+            assert sorted(order) == list(range(size))
+            expected = dense.copy()
+            expected[replaced] = vec(np.eye(dim, dtype=complex))
+            expected = expected[order][:, order]
+            gathered = csc_array((np.append(data, 1.0)[take], indices, indptr), shape=(size, size))
+            assert gathered.has_canonical_format
+            assert np.max(np.abs(gathered.toarray() - expected)) <= 1e-14 * np.linalg.norm(dense, np.inf)
+            assert not take.flags.writeable and not order.flags.writeable
+
+    def test_result_does_not_depend_on_solve_order(self):
+        target = SystemParams(delta=-0.4, u=0.3, g=0.05, f=0.3, phi=0.7)
+        other = SystemParams(delta=1.5, u=0.0, g=0.0, f=0.2)  # zero H entries in the pattern
+        for p in (target, other):  # both replace the same row, so share one layout
+            assert np.argmin(abs(liouvillian(p, FockSpace(18))).max(axis=1).toarray()) == 0
+        blockade.steady._system.cache_clear()
+        cold = steady_state(target, FockSpace(18)).entries
+        blockade.steady._system.cache_clear()
+        steady_state(other, FockSpace(18))
+        warm = steady_state(target, FockSpace(18)).entries
+        assert np.array_equal(cold, warm)
+
+    def test_cached_ordering_cuts_fill(self, monkeypatch):
+        # the system at D=36 against SuperLU's default (per-call COLAMD,
+        # partial pivoting) on the unpermuted system: 89,950 vs 139,154
+        p = SystemParams(delta=0.1, u=0.02, g=0.1, f=2, phi=0.3)
+        factors = []
+
+        def recording_splu(matrix, **kwargs):
+            factors.append(splu(matrix, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(blockade.steady, "splu", recording_splu)
+        steady_state(p, FockSpace(36))
+        cached = factors[-1].L.nnz + factors[-1].U.nnz
+
+        gen = liouvillian(p, FockSpace(36))
+        assert np.argmin(abs(gen).max(axis=1).toarray()) == 0  # the row steady_state replaced
+        unpermuted = gen.tolil()
+        unpermuted[0, :] = 0.0
+        unpermuted[0, np.arange(36) * 37] = 1.0
+        default = splu(csc_array(unpermuted))
+        assert cached <= 0.75 * (default.L.nnz + default.U.nnz)
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
