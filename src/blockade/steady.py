@@ -15,20 +15,25 @@ the singular system with the vectorized trace constraint and solving the
 resulting square system with SuperLU.  The system is factored as P A P^T,
 under a symmetric minimum-degree ordering of A + A^T that is computed once
 per (truncation, replaced row) and applied by a cached gather, with
-diagonal-preferring threshold pivoting.  Truncation is
-controlled by re-solving at growing dimension until the observables stop
-moving on a log10 scale.
+diagonal-preferring threshold pivoting and small relaxed supernodes.  The
+condition guard estimates ||A^-1||_1 by Hager-Higham iteration straight on
+that factor.  SuperLU's BLAS runs on one thread while it factors and
+solves.  Truncation is controlled by re-solving at growing dimension
+until the observables stop moving on a log10 scale.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg import splu
 
 from .fock import FockSpace
 from .model import SystemParams, build_h_eff
@@ -53,10 +58,12 @@ class SteadyStateError(RuntimeError):
 
 
 class ConvergenceError(SteadyStateError):
-    """Observables kept moving up to the largest allowed truncation.
+    """Observables kept moving up to the largest allowed truncation, or the
+    point has no steady state to converge to.
 
     Carries the observable sets of the last two truncations so callers can
-    inspect how far apart they still were.
+    inspect how far apart they still were; both are None for a point
+    rejected before any solve (a Kerr-free mode above the gain threshold).
     """
 
     def __init__(self, message: str, previous=None, last=None):
@@ -198,7 +205,8 @@ def _system(d: int, replaced: int):
     probe_values = np.concatenate([np.ones(rows.size), np.full(size, 4.0 * d)])
     probe_rows, probe_cols = np.concatenate([rows, diag]), np.concatenate([cols, diag])
     probe = csc_array((probe_values, (probe_rows, probe_cols)), shape=(size, size))
-    position = splu(probe, permc_spec="MMD_AT_PLUS_A").perm_c  # new index of each old one
+    with _one_blas_thread():
+        position = splu(probe, permc_spec="MMD_AT_PLUS_A").perm_c  # new index of each old one
     order = np.argsort(position)
 
     sys_rows, sys_cols = position[rows], position[cols]
@@ -209,6 +217,94 @@ def _system(d: int, replaced: int):
     for array in (order, take, sys_indices, sys_indptr):
         array.setflags(write=False)
     return order, take, sys_indices, sys_indptr
+
+
+def _inverse_norm_estimate(lu, n: int) -> float:
+    """Lower bound on ||A^-1||_1 from the SuperLU factor lu of the n x n A.
+
+    Hager's estimator as given by Higham & Tisseur, SIAM J. Matrix Anal.
+    Appl. 21, 1185 (2000), alg. 2.4, with one column (t=1) and at most five
+    iterations: the deterministic estimator LAPACK's zgecon uses.  It solves
+    with A and A^H straight on the factor and repeats scipy's
+    onenormest(t=1) step for step (start vector, sign rounding, the
+    unconjugated parallel-sign test, the exits and argsort's tie-breaking),
+    so it returns the same float without a LinearOperator around the factor.
+    """
+    x = np.full(n, 1.0 / n)
+    for k in range(1, 7):  # iteration 6 always returns
+        y = lu.solve(x)
+        est = np.abs(y).sum()
+        if k > 1 and est <= est_old:
+            return float(est_old)
+        if k > 5:
+            return float(est)
+        signs = y.copy()
+        signs[signs == 0] = 1
+        signs /= np.abs(signs)
+        if k > 1 and np.dot(signs, signs_old) == n:  # the signs repeat
+            return float(est)
+        h = np.abs(lu.solve(signs, trans="H"))
+        if k > 1 and h.max() == h[best]:  # no other unit vector promises more
+            return float(est)
+        best = np.argsort(h)[::-1][0]
+        x = np.zeros(n)
+        x[best] = 1.0
+        est_old, signs_old = est, signs
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+
+    SuperLU's dense kernels run on scipy's bundled OpenBLAS, which threads
+    them from about D=48 on.  On two cores a threaded D=48-60 factor took
+    twice the CPU time of a one-thread factor and no less wall time, and
+    its wall time grew tenfold while another process held a core.  Found
+    through /proc/self/maps, so off Linux, or with another BLAS, nothing is
+    found and the solver leaves the thread count alone.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded, so this only returns its handle
+        except OSError:  # e.g. a mapped file since deleted
+            continue
+        # scipy's and numpy's wheels prefix the symbols with scipy_; numpy's
+        # 64-bit-integer copies suffix them with 64_
+        for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                controls.append((get, set_))  # ctypes' default int signature fits both
+                break
+    return tuple(controls)
+
+
+_BLAS_HOLD = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS in the process to one thread, restoring the counts on exit.
+
+    The lock keeps concurrent solves from restoring each other's counts;
+    SuperLU holds the GIL while it factors, so it costs no parallelism.
+    """
+    controls = _openblas_thread_controls()
+    with _BLAS_HOLD:
+        counts = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(1)
+        try:
+            yield
+        finally:
+            for (_, set_), count in zip(controls, counts):
+                set_(count)
 
 
 def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
@@ -230,12 +326,14 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
     the square system A is then solved by sparse LU (SuperLU), factored as
     P A P^T on the symmetric minimum-degree ordering cached per (d, replaced
-    row) and with pivoting that prefers the diagonal.  An exactly singular
-    factor, or a reciprocal 1-norm condition estimate below 1e-14
-    (||A^-1||_1 from onenormest through the factor; both norms are
-    invariant under P A P^T), raises SteadyStateError rather than returning
-    digits that are mostly noise, as does a residual above 1e-9 ||L||_inf
-    or a solution that fails the DensityMatrix physicality checks.
+    row), with pivoting that prefers the diagonal and small relaxed
+    supernodes, while every OpenBLAS in the process is held to one thread
+    (counts restored on return).  An exactly singular factor, or a
+    reciprocal 1-norm condition estimate below 1e-14 (||A^-1||_1 by the
+    Hager-Higham estimator run on the factor; both norms are invariant
+    under P A P^T), raises SteadyStateError rather than returning digits
+    that are mostly noise, as does a residual above 1e-9 ||L||_inf or a
+    solution that fails the DensityMatrix physicality checks.
     """
     d = space.dim
     if d < 3:
@@ -253,28 +351,29 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     # small populations of a graded state accurate (g2 to ~1e-15 where A^T
     # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
     # wherever it is within a factor 100 of its column's largest candidate.
+    # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
+    # default merges larger ones) keeps the fill and saves 15-30% of the
+    # factor time up to D=36.
     system = csc_array((sys_data, sys_indices, sys_indptr), shape=(size, size))
-    try:
-        lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.01)
-    except RuntimeError as exc:
-        raise SteadyStateError(
-            f"singular steady-state system at dim={d}; try a larger truncation "
-            f"or different parameters ({exc})"
-        ) from exc
-    # every column holds an entry of H's band, so no column is empty
-    anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
-    inverse = LinearOperator(
-        (size, size), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"), dtype=complex
-    )
-    # t=1 is the deterministic Hager-Higham estimator that LAPACK's zgecon uses.
-    rcond = 1.0 / (anorm * float(onenormest(inverse, t=1)))
-    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SteadyStateError(
-            f"steady-state system too ill-conditioned at dim={d} "
-            f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
-        )
-    vec = np.empty(size, dtype=complex)
-    vec[order] = lu.solve((order == replaced).astype(complex))
+    # one BLAS thread: see _openblas_thread_controls
+    with _one_blas_thread():
+        try:
+            lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4)
+        except RuntimeError as exc:
+            raise SteadyStateError(
+                f"singular steady-state system at dim={d}; try a larger truncation "
+                f"or different parameters ({exc})"
+            ) from exc
+        # every column holds an entry of H's band, so no column is empty
+        anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
+        rcond = 1.0 / (anorm * _inverse_norm_estimate(lu, size))
+        if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+            raise SteadyStateError(
+                f"steady-state system too ill-conditioned at dim={d} "
+                f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
+            )
+        vec = np.empty(size, dtype=complex)
+        vec[order] = lu.solve((order == replaced).astype(complex))
 
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
@@ -348,16 +447,29 @@ def converged_steady_state(
     is returned immediately: higher truncations cannot populate it further.
     Raises ConvergenceError (carrying the last two observable sets) if
     max_dim is reached without settling, which is also the guaranteed
-    outcome of tol = 0.
+    outcome of tol = 0.  Without Kerr (u = 0) the linearised mode grows once
+    the parametric gain reaches 2|g| >= sqrt(delta^2 + kappa^2/4), so there
+    is no steady state; such a point raises ConvergenceError (previous and
+    last None) before any solve.  Kerr points are bounded and always solved.
+    Observables that fail their own checks raise SteadyStateError.
     """
     if max_dim < START_DIM:
         raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
+    threshold = math.hypot(p.delta, 0.5 * p.kappa)
+    if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
+        raise ConvergenceError(
+            f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
+            f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
+        )
 
     previous: Observables | None = None
     before_previous: Observables | None = None
     for dim in range(START_DIM, max_dim + 1, DIM_STEP):
         rho = steady_state(p, FockSpace(dim))
-        obs = observables(rho)
+        try:
+            obs = observables(rho)
+        except ValueError as exc:
+            raise SteadyStateError(f"unphysical observables at dim={dim}: {exc}") from exc
         if obs.mean_photon < PHOTON_FLOOR:
             return rho, obs, dim
         if previous is not None and _lg_gap(previous, obs) < tol:

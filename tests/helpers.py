@@ -79,3 +79,24 @@ def force_unphysical(monkeypatch):
         raise ValueError("not positive semidefinite: forced")
 
     monkeypatch.setattr(blockade.steady, "DensityMatrix", reject)
+
+
+def force_unphysical_observables(monkeypatch):
+    """Make every steady_state return a state that DensityMatrix accepts but
+    Observables rejects: a population of -5e-9 is inside the eigenvalue
+    tolerance (-1e-8) and outside the population one (-1e-10)."""
+    entries = np.diag([1 + 5e-9, 0.0, -5e-9])
+
+    def solve(p, space):
+        return blockade.steady.DensityMatrix(dim=3, entries=entries)
+
+    monkeypatch.setattr(blockade.steady, "steady_state", solve)
+
+
+def never_solve(monkeypatch):
+    """Make any call of steady_state fail the test."""
+
+    def solve(p, space):
+        raise AssertionError(f"steady_state called at dim={space.dim}")
+
+    monkeypatch.setattr(blockade.steady, "steady_state", solve)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from helpers import force_unphysical
+from helpers import force_unphysical, force_unphysical_observables, never_solve
 
 import blockade.cli
 from blockade.cli import (
@@ -145,6 +145,16 @@ class TestExitCodes:
         assert main(["sweep", "--axis", "delta:0:1:2", "--f", "0.1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["FAIL", "FAIL"]
+
+    def test_unphysical_observables_are_solver_failure(self, capsys, monkeypatch):
+        force_unphysical_observables(monkeypatch)
+        assert main(["solve", "--f", "0.1"]) == 1
+        assert "solver failure: unphysical observables" in capsys.readouterr().err
+
+    def test_unstable_point_is_solver_failure(self, capsys, monkeypatch):
+        never_solve(monkeypatch)
+        assert main(["solve", "--g", "0.3", "--f", "0.1"]) == 1
+        assert "solver failure: no steady state" in capsys.readouterr().err
 
     def test_unwritable_output(self, capsys, tmp_path):
         missing_dir = tmp_path / "missing" / "out.csv"

@@ -1,17 +1,26 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
+from scipy.sparse import csc_array, diags_array
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from helpers import dense_liouvillian, force_unphysical, rk4_steady, weak_drive_draw
+from helpers import (
+    dense_liouvillian,
+    force_unphysical,
+    force_unphysical_observables,
+    never_solve,
+    rk4_steady,
+    weak_drive_draw,
+)
 
 import blockade.steady
 from blockade.analytic import optimal_g
 from blockade.fock import FockSpace, annihilation, expectation
 from blockade.model import SystemParams
 from blockade.steady import (
+    DEFAULT_MAX_DIM,
     ConvergenceError,
     DensityMatrix,
     SteadyStateError,
@@ -40,6 +49,54 @@ def random_params(rng, u_min=0.1):
         f=float(rng.uniform(0, 0.5)),
         phi=float(rng.uniform(0, 2 * math.pi)),
     )
+
+
+def steady_state_factor(monkeypatch, p, dim):
+    """The system steady_state factors for p at truncation dim, with its splu
+    keywords and its SuperLU factor."""
+    factors = []
+
+    def recording_splu(matrix, **kwargs):
+        factors.append((matrix, kwargs, splu(matrix, **kwargs)))
+        return factors[-1][2]
+
+    monkeypatch.setattr(blockade.steady, "splu", recording_splu)
+    with contextlib.suppress(SteadyStateError):
+        steady_state(p, FockSpace(dim))
+    return factors[-1]
+
+
+def onenormest_oracle(lu, n):
+    """scipy's onenormest(t=1) on A^-1, applied through the factor."""
+    inverse = LinearOperator(
+        (n, n), matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="H"), dtype=complex
+    )
+    return float(onenormest(inverse, t=1))
+
+
+class RecordingFactor:
+    """Passes solves through to a factor, recording their kind and result."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = []
+
+    def solve(self, rhs, trans="N"):
+        out = self.lu.solve(rhs, trans=trans)
+        self.solves.append((trans, out))
+        return out
+
+
+def exit_taken(solves, est):
+    """Which exit of the estimator's loop returned est, read off its solves."""
+    if solves[-1][0] == "H":
+        return "no better unit vector"
+    sums = [np.abs(y).sum() for trans, y in solves if trans == "N"]
+    if len(sums) > 1 and sums[-1] <= sums[-2]:
+        assert est == sums[-2]
+        return "estimate stalled"
+    assert est == sums[-1]
+    return "iteration limit" if len(sums) == 6 else "signs repeat"
 
 
 class TestLiouvillian:
@@ -170,6 +227,44 @@ class TestSteadyState:
         rho = steady_state(p, FockSpace(dim)).entries
         assert np.max(np.abs(rho - kernel)) < 1e-12
 
+    def test_factors_and_solves_on_one_blas_thread(self, monkeypatch):
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                mapped = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
+        except OSError:
+            mapped = set()
+        if not mapped:
+            pytest.skip("no OpenBLAS mapped into the process")
+        controls = blockade.steady._openblas_thread_controls()
+        assert len(controls) == len(mapped)  # every mapped copy can be held
+        counts = [get() for get, _ in controls]
+        seen = []
+
+        def recording_splu(matrix, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return splu(matrix, **kwargs)
+
+        def singular_splu(matrix, **kwargs):
+            seen.append([get() for get, _ in controls])
+            raise RuntimeError("Factor is exactly singular")
+
+        try:
+            for _, set_ in controls:
+                set_(2)
+            monkeypatch.setattr(blockade.steady, "splu", recording_splu)
+            blockade.steady._system.cache_clear()  # the layout probe is factored too
+            steady_state(SystemParams(f=0.1), FockSpace(12))
+            assert len(seen) == 2
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            monkeypatch.setattr(blockade.steady, "splu", singular_splu)
+            with pytest.raises(SteadyStateError, match="singular"):
+                steady_state(SystemParams(f=0.1), FockSpace(12))
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            assert seen == [[1] * len(controls)] * 3
+        finally:
+            for (_, set_), count in zip(controls, counts):
+                set_(count)
+
     def test_pattern_cache_is_bounded(self):
         caches = (blockade.steady._pattern, blockade.steady._system)
         limit = max(cache.cache_info().maxsize for cache in caches)
@@ -277,6 +372,53 @@ class TestSteadyState:
                 assert obs.g2 is not None and obs.g2 < 1.0
 
 
+class TestInverseNormEstimate:
+    def check(self, lu, n):
+        """The estimate through the factor equals onenormest's bit for bit;
+        returns the exit it took."""
+        recording = RecordingFactor(lu)
+        est = blockade.steady._inverse_norm_estimate(recording, n)
+        assert est == onenormest_oracle(lu, n)
+        return exit_taken(recording.solves, est)
+
+    def test_matches_onenormest_bit_for_bit(self, monkeypatch):
+        exits = set()
+        for dim in (3, 4, 7, 12, 36):
+            rng = np.random.default_rng(200 + dim)
+            for _ in range(2 if dim == 36 else 6):
+                p = random_params(rng, u_min=0.0)
+                _, _, lu = steady_state_factor(monkeypatch, p, dim)
+                exits.add(self.check(lu, dim * dim))
+
+        # a strong-drive point whose estimate still grows when the iteration
+        # limit stops it
+        p = SystemParams(
+            delta=-0.6491302575530176, u=0.05443379677682292, g=-0.2977513740307973,
+            f=1.2857546075151336, phi=5.573027511777102,
+        )
+        _, _, lu = steady_state_factor(monkeypatch, p, 12)
+        exits.add(self.check(lu, 144))
+
+        # forced ill-conditioned: one column of a stock system scaled by 1e-16
+        system, kwargs, _ = steady_state_factor(monkeypatch, SystemParams(f=0.1), 12)
+        system = system.copy()
+        system.data[system.indptr[5] : system.indptr[6]] *= 1e-16
+        lu = splu(system, **kwargs)
+        exits.add(self.check(lu, 144))
+        anorm = np.max(np.add.reduceat(np.abs(system.data), system.indptr[:-1]))
+        assert 1.0 / (anorm * blockade.steady._inverse_norm_estimate(lu, 144)) < blockade.steady.RCOND_FLOOR
+
+        # real-valued and stored as complex: an M-matrix has a positive
+        # inverse, so every sign is +1 and the second step repeats the first
+        m_matrix = diags_array([-np.ones(9), 4.0 * np.ones(10), -np.ones(9)], offsets=[-1, 0, 1])
+        exits.add(self.check(splu(csc_array(m_matrix, dtype=complex)), 10))
+
+        # every column of I has 1-norm 1, exactly the first estimate at n = 8
+        exits.add(self.check(splu(csc_array(np.eye(8, dtype=complex))), 8))
+
+        assert exits == {"no better unit vector", "estimate stalled", "iteration limit", "signs repeat"}
+
+
 class TestObservables:
     def test_single_photon_state(self):
         obs = observables(DensityMatrix(dim=4, entries=ketbra(4, 1)))
@@ -294,6 +436,12 @@ class TestObservables:
         assert obs.mean_photon == 0.0
         assert obs.g2 is None and obs.lg_n is None and obs.lg_g2 is None
         assert obs.populations[0] == pytest.approx(1.0)
+
+    def test_population_below_tolerance_is_rejected(self):
+        # DensityMatrix admits this eigenvalue; observables() still raises
+        rho = DensityMatrix(dim=3, entries=np.diag([1 + 5e-9, 0.0, -5e-9]))
+        with pytest.raises(ValueError, match="populations"):
+            observables(rho)
 
     def test_populations_sum_to_one(self):
         rho = steady_state(SystemParams(f=0.2, u=0.3), FockSpace(14))
@@ -329,6 +477,35 @@ class TestConvergedSteadyState:
         err = excinfo.value
         assert err.previous is not None and err.last is not None
         assert err.previous.mean_photon == pytest.approx(err.last.mean_photon, rel=1e-3)
+
+    def test_unstable_point_rejected_before_solving(self, monkeypatch):
+        never_solve(monkeypatch)
+        # 2|g| above sqrt(delta^2 + kappa^2/4), then exactly on it: both
+        # sides are 0.5 in the last two
+        for p in (
+            SystemParams(g=0.3, f=0.1),
+            SystemParams(g=-0.25),
+            SystemParams(delta=0.3, g=0.25, f=1.0, phi=0.4, kappa=0.8),
+        ):
+            with pytest.raises(ConvergenceError, match="threshold") as excinfo:
+                converged_steady_state(p)
+            assert excinfo.value.previous is None and excinfo.value.last is None
+
+    def test_point_below_gain_threshold_converges(self):
+        p = SystemParams(g=0.22)  # 0.88 of the threshold g = 0.25
+        _, obs, _ = converged_steady_state(p)
+        squeezed_vacuum = 8 * p.g**2 / (p.kappa**2 - 16 * p.g**2)
+        assert obs.mean_photon == pytest.approx(squeezed_vacuum, rel=1e-3)
+
+    def test_kerr_point_above_gain_threshold_solves(self):
+        _, obs, dim = converged_steady_state(SystemParams(u=0.02, g=0.3, f=0.1))
+        assert dim <= DEFAULT_MAX_DIM and obs.mean_photon > 1.0
+
+    def test_unphysical_observables_are_solver_failure(self, monkeypatch):
+        force_unphysical_observables(monkeypatch)
+        with pytest.raises(SteadyStateError, match="unphysical observables at dim=12") as excinfo:
+            converged_steady_state(SystemParams(f=0.1))
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_convergence_error_is_solver_failure(self):
         assert issubclass(ConvergenceError, SteadyStateError)

@@ -1,11 +1,13 @@
 import math
+import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from helpers import force_unphysical
+from helpers import force_unphysical, force_unphysical_observables
 
 from blockade import sweep
 from blockade.model import SystemParams
@@ -174,6 +176,35 @@ class TestRunSweep:
         result = run_sweep(SystemParams(u=0.5), axes, workers=1)
         assert [r.status for r in result.rows] == ["FAIL"] * 4
         assert all(r.n_mean is None and r.dim is None for r in result.rows)
+
+    def test_unphysical_observables_become_fail_rows(self, monkeypatch):
+        force_unphysical_observables(monkeypatch)
+        result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)], workers=1)
+        assert [r.status for r in result.rows] == ["FAIL", "FAIL"]
+
+    def test_unstable_point_becomes_fail_row(self):
+        # without Kerr, g = 0.3 is above the gain threshold 0.25
+        result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("g", 0.0, 0.3, 2)], workers=1)
+        assert [r.status for r in result.rows] == ["OK", "FAIL"]
+        assert result.rows[1].dim is None and result.rows[1].n_mean is None
+
+    def test_spawned_pool_matches_serial(self, monkeypatch):
+        base = SystemParams(u=0.5, phi=0.3)
+        axes = [GridAxis.linear("f", 0.05, 0.15, 2), GridAxis.linear("g", 0.0, 0.02, 2)]
+        serial = run_sweep(base, axes, workers=1)
+
+        spawn = multiprocessing.get_context("spawn")
+        pools = []
+
+        def spawned_pool(max_workers):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", spawned_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 on any host
+        pooled = run_sweep(base, axes, workers=2)
+        assert pools == [2]
+        assert pooled.rows == serial.rows
 
     def test_metadata_reports_dims(self):
         result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)], workers=1)
