@@ -8,8 +8,8 @@ analytics (truncated amplitudes, destructive-interference conditions and
 the optimal parametric gain) together with parameter-sweep presets.
 """
 
-from .fock import FockSpace, annihilation, creation, expectation
-from .model import SystemParams, EnergyLevel, build_h_eff, build_h_non, energy_levels
+from .model import SystemParams, FockSpace, EnergyLevel, annihilation
+from .model import build_h_eff, build_h_non, energy_levels
 from .steady import (
     DensityMatrix,
     Observables,
@@ -34,12 +34,10 @@ from .analytic import (
 from .sweep import GridAxis, SweepRow, SweepResult, run_sweep, preset, optimal_curve
 
 __all__ = [
-    "FockSpace",
-    "annihilation",
-    "creation",
-    "expectation",
     "SystemParams",
+    "FockSpace",
     "EnergyLevel",
+    "annihilation",
     "build_h_eff",
     "build_h_non",
     "energy_levels",

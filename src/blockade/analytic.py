@@ -118,9 +118,8 @@ def blockade_conditions(p: SystemParams) -> tuple[float, float]:
       2 F^2 cos(2 phi) - G kappa = 0
       2 F^2 sin(2 phi) - 2 delta G = 0
     """
-    real_residual = 2.0 * p.f**2 * math.cos(2.0 * p.phi) - p.g * p.kappa
-    imag_residual = 2.0 * p.f**2 * math.sin(2.0 * p.phi) - 2.0 * p.delta * p.g
-    return real_residual, imag_residual
+    r = interference_residual(p)
+    return r.real, r.imag
 
 
 def optimal_g(f: float, phi: float, delta: float, kappa: float = 1.0) -> float:

@@ -288,11 +288,6 @@ def sweep_to_json(result: SweepResult) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_sweep_json(text: str) -> tuple[dict, list[dict]]:
-    doc = json.loads(text)
-    return doc["metadata"], doc["rows"]
-
-
 def execute(cfg: RunConfig) -> int:
     """Run the resolved command; returns the process exit code."""
     out = sys.stdout

@@ -1,10 +1,13 @@
-"""Physical parameters, Hamiltonians and the bare energy spectrum.
+"""Physical parameters, the truncated Fock space, Hamiltonians and the bare spectrum.
 
 The model is a single cavity mode in the frame rotating at the drive
 frequency: detuning delta, Kerr photon-photon interaction u, degenerate
 parametric gain g, coherent drive amplitude f with phase phi, and cavity
 decay rate kappa.  All rates are quoted in units of kappa, which defaults
 to 1 so numbers can be read directly as kappa-normalized.
+
+Operators are dense complex128 arrays on the truncated Fock space, indexed
+so that the photon number n is the matrix index n.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import FockSpace, annihilation, creation
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,32 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)
+
+
+@dataclass(frozen=True)
+class FockSpace:
+    """Truncated single-mode Fock space keeping number states |0> .. |dim-1>.
+
+    Any positive dim is valid; the steady-state solver needs dim >= 3.
+    """
+
+    dim: int
+
+    def __post_init__(self):
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise TypeError(f"dim must be an integer, got {self.dim!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
+
+
+def annihilation(space: FockSpace) -> np.ndarray:
+    """Photon annihilation operator on the truncated space, read-only.
+
+    Entry (n-1, n) is sqrt(n) for 1 <= n <= dim-1, everything else zero.
+    """
+    a = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -98,7 +125,7 @@ def build_h_non(p: SystemParams, space: FockSpace) -> np.ndarray:
     of the two-photon truncation are stationary states of this operator.
     """
     a = annihilation(space)
-    n_op = creation(space) @ a
+    n_op = a.conj().T @ a
     return build_h_eff(p, space) - 0.5j * p.kappa * n_op
 
 

@@ -35,8 +35,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .fock import FockSpace
-from .model import SystemParams, build_h_eff
+from .model import FockSpace, SystemParams, build_h_eff
 
 # Below this mean photon number, g2 is a 0/0 ratio and reported undefined.
 PHOTON_FLOOR = 1e-12
@@ -445,16 +444,19 @@ def converged_steady_state(
     from the previous truncation, together with the dimension it was
     computed at.  A state with mean photon number below the division floor
     is returned immediately: higher truncations cannot populate it further.
-    Raises ConvergenceError (carrying the last two observable sets) if
-    max_dim is reached without settling, which is also the guaranteed
-    outcome of tol = 0.  Without Kerr (u = 0) the linearised mode grows once
-    the parametric gain reaches 2|g| >= sqrt(delta^2 + kappa^2/4), so there
-    is no steady state; such a point raises ConvergenceError (previous and
-    last None) before any solve.  Kerr points are bounded and always solved.
+    Raises ConvergenceError (carrying the last two observable sets, naming
+    the last dimension solved) if the ladder ends without settling, the
+    guaranteed outcome of tol = 0; a NaN or negative tol is a ValueError.
+    Without Kerr (u = 0) the linearised mode grows once the parametric
+    gain reaches 2|g| >= sqrt(delta^2 + kappa^2/4), so there is no steady
+    state; such a point raises ConvergenceError (previous and last None)
+    before any solve.  Kerr points are bounded and always solved.
     Observables that fail their own checks raise SteadyStateError.
     """
     if max_dim < START_DIM:
         raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     threshold = math.hypot(p.delta, 0.5 * p.kappa)
     if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
         raise ConvergenceError(
@@ -477,7 +479,7 @@ def converged_steady_state(
         before_previous = previous
         previous = obs
     raise ConvergenceError(
-        f"observables not settled to tol={tol} at dim={max_dim}",
+        f"observables not settled to tol={tol} at dim={dim}",
         previous=before_previous,
         last=previous,
     )

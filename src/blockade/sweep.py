@@ -91,7 +91,7 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Observables at one grid point; status FAIL marks a per-point solver failure."""
+    """Observables at one grid point; dim None marks a per-point solver failure."""
 
     params: SystemParams
     dim: int | None
@@ -99,7 +99,10 @@ class SweepRow:
     g2: float | None
     lg_n: float | None
     lg_g2: float | None
-    status: str
+
+    @property
+    def status(self) -> str:
+        return "FAIL" if self.dim is None else "OK"
 
 
 @dataclass(frozen=True)
@@ -122,17 +125,8 @@ def _evaluate_point(params: SystemParams, tol: float, max_dim: int) -> SweepRow:
     try:
         _, obs, dim = converged_steady_state(params, tol, max_dim=max_dim)
     except SteadyStateError:
-        obs, dim = None, None
-    ok = obs is not None
-    return SweepRow(
-        params=params,
-        dim=dim,
-        n_mean=obs.mean_photon if ok else None,
-        g2=obs.g2 if ok else None,
-        lg_n=obs.lg_n if ok else None,
-        lg_g2=obs.lg_g2 if ok else None,
-        status="OK" if ok else "FAIL",
-    )
+        return SweepRow(params, None, None, None, None, None)
+    return SweepRow(params, dim, obs.mean_photon, obs.g2, obs.lg_n, obs.lg_g2)
 
 
 def _resolve_workers(workers: int | None) -> int:

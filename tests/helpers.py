@@ -5,8 +5,7 @@ import math
 import numpy as np
 
 import blockade.steady
-from blockade.fock import FockSpace, annihilation, creation
-from blockade.model import build_h_eff
+from blockade.model import FockSpace, annihilation, build_h_eff
 
 
 def dense_liouvillian(params, dim):
@@ -19,7 +18,7 @@ def dense_liouvillian(params, dim):
     """
     space = FockSpace(dim)
     a = annihilation(space)
-    n_op = creation(space) @ a
+    n_op = a.conj().T @ a
     h = build_h_eff(params, space)
     eye = np.eye(dim, dtype=complex)
     unitary = -1j * (np.kron(eye, h) - np.kron(h.T, eye))

@@ -19,8 +19,7 @@ from blockade.analytic import (
     g2_analytic,
     optimal_g,
 )
-from blockade.fock import FockSpace
-from blockade.model import SystemParams
+from blockade.model import FockSpace, SystemParams
 from blockade.steady import (
     DensityMatrix,
     SteadyStateError,

@@ -118,13 +118,16 @@ class TestBlockadeConditions:
         assert real_res == pytest.approx(0.0, abs=1e-16)
         assert imag_res == 0.0
 
-    def test_pair_equivalent_to_residual_modulus(self):
+    def test_pair_matches_paper_conditions(self):
+        # the two conditions as the paper writes them, with phases well
+        # outside one period and gains of either sign
         rng = np.random.default_rng(79)
-        for _ in range(50):
-            p = random_params(rng)
-            real_res, imag_res = blockade_conditions(p)
-            r = interference_residual(p)
-            assert math.hypot(real_res, imag_res) == pytest.approx(abs(r), abs=1e-14)
+        for _ in range(1000):
+            p = random_params(rng).replace(phi=float(rng.uniform(-7, 7)))
+            assert blockade_conditions(p) == (
+                2 * p.f**2 * math.cos(2 * p.phi) - p.g * p.kappa,
+                2 * p.f**2 * math.sin(2 * p.phi) - 2 * p.delta * p.g,
+            )
 
 
 class TestOptimalGain:

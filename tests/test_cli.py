@@ -12,7 +12,6 @@ from blockade.cli import (
     CSV_HEADER,
     CliUsageError,
     format_value,
-    load_sweep_json,
     main,
     parse_axis,
     parse_config,
@@ -213,6 +212,8 @@ class TestExitCodes:
             ["spectrum", "--n-max", "-3"],
             ["analytic", "--phi", "sideways"],
             ["solve", "--max-dim", "ten"],
+            ["solve", "--f", "0.1", "--tol", "nan"],
+            ["sweep", "--axis", "f:0:0.1:3", "--tol", "-1"],
         ]
         for argv in corpus:
             code = main(argv)
@@ -321,7 +322,8 @@ class TestSerialization:
 
     def test_json_round_trip(self, small_result):
         text = sweep_to_json(small_result)
-        metadata, rows = load_sweep_json(text)
+        doc = json.loads(text)
+        metadata, rows = doc["metadata"], doc["rows"]
         assert metadata["dims_used"] == small_result.metadata["dims_used"]
         assert len(rows) == len(small_result.rows)
         for parsed, row in zip(rows, small_result.rows):
@@ -335,7 +337,7 @@ class TestSerialization:
 
     def test_csv_json_numeric_identity(self, small_result):
         csv_rows = list(csv.DictReader(io.StringIO(sweep_to_csv(small_result))))
-        _, json_rows = load_sweep_json(sweep_to_json(small_result))
+        json_rows = json.loads(sweep_to_json(small_result))["rows"]
         numeric = ["axis1_value", "axis2_value", "delta", "u", "g", "f", "phi", "kappa", "n_mean", "g2", "lg_n", "lg_g2"]
         for c_row, j_row in zip(csv_rows, json_rows):
             for key in numeric:
@@ -376,7 +378,8 @@ class TestSweepCommand:
             ["sweep", "--preset", "fig2a", "--f", "0.05", "--axis", "delta:-0.1:0.1:3", "--format", "json"]
         )
         assert code == 0
-        metadata, rows = load_sweep_json(capsys.readouterr().out)
+        doc = json.loads(capsys.readouterr().out)
+        metadata, rows = doc["metadata"], doc["rows"]
         assert metadata["preset"] == "fig2a"
         assert len(rows) == 3
         assert all(row["f"] == 0.05 for row in rows)
@@ -384,7 +387,7 @@ class TestSweepCommand:
     def test_json_format_flag(self, capsys):
         code = main(["sweep", "--axis", "delta:0:1:2", "--f", "0.1", "--format", "json"])
         assert code == 0
-        metadata, rows = load_sweep_json(capsys.readouterr().out)
+        rows = json.loads(capsys.readouterr().out)["rows"]
         assert len(rows) == 2
         assert rows[0]["status"] == "OK"
 

@@ -1,10 +1,17 @@
-"""README's `$ blockade ...` examples, run through cli.main against their printed output.
+"""README's examples, run against the output they show.
 
-Every `key = value` line shown under an example must match what the command
-prints: `dim` exactly, numbers to 1e-12 relative.  A list ending in `,...`
-(the populations line) is compared on the values it lists.
+Every `key = value` line shown under a `$ blockade ...` example must match
+what cli.main prints: `dim` exactly, numbers to 1e-12 relative.  A list
+ending in `,...` (the populations line) is compared on the values it lists.
+The Python library example must print numbers that begin with the digits in
+its `# ...` comment, and every `blockade.<module>` in the module list must
+import.
 """
 
+import contextlib
+import importlib
+import io
+import re
 import shlex
 from pathlib import Path
 
@@ -54,3 +61,24 @@ def test_readme_example_output(command, expected, capsys):
         assert [float(x) for x in actual] == pytest.approx(
             [float(x) for x in shown], rel=1e-12, abs=0.0
         ), key
+
+
+def test_readme_library_example_output():
+    text = README.read_text(encoding="utf-8")
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = re.search(r"# (.+)$", code, re.MULTILINE).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(code, {})
+    values = printed.getvalue().split()
+    prefixes = [v.removesuffix("...") for v in shown.split(", ")]
+    assert len(values) == len(prefixes) == 2
+    for value, prefix in zip(values, prefixes):
+        assert value.startswith(prefix), (value, prefix)
+
+
+def test_readme_modules_import():
+    modules = re.findall(r"^- `(blockade\.\w+)`", README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert "blockade.model" in modules
+    for name in modules:
+        importlib.import_module(name)

@@ -1,0 +1,51 @@
+"""The names the package exports, and the modules it no longer has."""
+
+import importlib
+
+import pytest
+
+import blockade
+
+PUBLIC_NAMES = [
+    "AmplitudeSet",
+    "ConvergenceError",
+    "DegenerateParametersError",
+    "DensityMatrix",
+    "EnergyLevel",
+    "FockSpace",
+    "GridAxis",
+    "Observables",
+    "SingularParametersError",
+    "SteadyStateError",
+    "SweepResult",
+    "SweepRow",
+    "SystemParams",
+    "amplitudes_closed_form",
+    "amplitudes_linear_solve",
+    "annihilation",
+    "blockade_conditions",
+    "build_h_eff",
+    "build_h_non",
+    "converged_steady_state",
+    "energy_levels",
+    "g2_analytic",
+    "interference_residual",
+    "liouvillian",
+    "observables",
+    "optimal_curve",
+    "optimal_g",
+    "preset",
+    "run_sweep",
+    "steady_state",
+]
+
+
+def test_all_is_pinned_and_resolves():
+    assert sorted(blockade.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(blockade, name), name
+
+
+def test_fock_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("blockade.fock")

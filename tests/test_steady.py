@@ -17,8 +17,7 @@ from helpers import (
 
 import blockade.steady
 from blockade.analytic import optimal_g
-from blockade.fock import FockSpace, annihilation, expectation
-from blockade.model import SystemParams
+from blockade.model import FockSpace, SystemParams, annihilation
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     ConvergenceError,
@@ -169,14 +168,14 @@ class TestSteadyState:
         assert obs.g2 == pytest.approx(1.0, abs=1e-3)
         alpha = -p.f / (p.delta - 0.5j * p.kappa)
         a = annihilation(FockSpace(20))
-        assert expectation(a, rho.entries) == pytest.approx(alpha, abs=1e-9)
+        assert np.trace(rho.entries @ a) == pytest.approx(alpha, abs=1e-9)
 
     def test_coherent_amplitude_with_phase_and_detuning(self):
         p = SystemParams(delta=0.4, f=0.08, phi=1.1)
         rho = steady_state(p, FockSpace(20))
         alpha = -p.f * np.exp(1j * p.phi) / (p.delta - 0.5j * p.kappa)
         a = annihilation(FockSpace(20))
-        assert expectation(a, rho.entries) == pytest.approx(alpha, abs=1e-9)
+        assert np.trace(rho.entries @ a) == pytest.approx(alpha, abs=1e-9)
         assert observables(rho).mean_photon == pytest.approx(abs(alpha) ** 2, abs=1e-9)
 
     def test_far_detuned_coherent_state_keeps_g2_digits(self):
@@ -473,8 +472,10 @@ class TestConvergedSteadyState:
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError) as excinfo:
-            converged_steady_state(SystemParams(f=0.1, u=0.5), tol=0.0, max_dim=24)
+            converged_steady_state(SystemParams(f=0.1, u=0.5), tol=0.0, max_dim=29)
         err = excinfo.value
+        # the ladder stops at 24, the last rung at or below max_dim
+        assert "at dim=24" in str(err)
         assert err.previous is not None and err.last is not None
         assert err.previous.mean_photon == pytest.approx(err.last.mean_photon, rel=1e-3)
 
@@ -513,6 +514,12 @@ class TestConvergedSteadyState:
     def test_rejects_max_dim_below_start(self):
         with pytest.raises(ValueError):
             converged_steady_state(SystemParams(f=0.1), max_dim=6)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_rejects_nan_or_negative_tol_before_solving(self, tol, monkeypatch):
+        never_solve(monkeypatch)
+        with pytest.raises(ValueError, match="tol"):
+            converged_steady_state(SystemParams(f=0.1), tol=tol)
 
 
 class TestEvolutionOracle:

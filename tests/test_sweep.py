@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import force_unphysical, force_unphysical_observables
+from helpers import force_unphysical, force_unphysical_observables, never_solve
 
 from blockade import sweep
 from blockade.model import SystemParams
@@ -169,6 +169,12 @@ class TestRunSweep:
         assert len(result.rows) == 4
         assert all(r.status == "FAIL" for r in result.rows)
         assert all(r.n_mean is None and r.dim is None for r in result.rows)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tol_rejected_before_solving(self, tol, monkeypatch):
+        never_solve(monkeypatch)
+        with pytest.raises(ValueError, match="tol"):
+            run_sweep(SystemParams(f=0.1), [GridAxis.linear("f", 0.1, 0.2, 2)], tol=tol, workers=1)
 
     def test_unphysical_point_becomes_fail_row(self, monkeypatch):
         force_unphysical(monkeypatch)
