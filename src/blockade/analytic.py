@@ -28,11 +28,13 @@ EXCITATION_FLOOR = 1e-24
 
 
 class DegenerateParametersError(ValueError):
-    """The truncated amplitude system is singular at these parameters."""
+    """The truncated amplitude system is singular, or overflows double precision,
+    at these parameters."""
 
 
 class SingularParametersError(ValueError):
-    """The optimal-gain relation has a pole at these parameters (kappa + 2*delta = 0)."""
+    """The optimal-gain relation has a pole at these parameters (kappa + 2*delta = 0),
+    or its value overflows double precision."""
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,14 @@ def amplitudes_closed_form(p: SystemParams) -> AmplitudeSet:
       C2 = -sqrt(2) (2F^2 e^{2i*phi} - G*kappa - 2i*delta*G) / den
     """
     two_delta = 2.0 * p.delta - 1j * p.kappa
-    den = 4.0 * p.f**2 - two_delta * (two_delta + 2.0 * p.u)
-    if abs(den) <= DEGENERACY_FLOOR:
+    try:
+        den = 4.0 * p.f**2 - two_delta * (two_delta + 2.0 * p.u)
+    except OverflowError:  # a float power raises where a product gives inf
+        den = math.inf
+    if not DEGENERACY_FLOOR < abs(den) < math.inf:
         raise DegenerateParametersError(
-            f"amplitude denominator vanishes (|den| = {abs(den):.3e}) at these parameters"
+            f"amplitude denominator vanishes or overflows (|den| = {abs(den):.3e}) "
+            f"at these parameters"
         )
     phase = cmath.exp(1j * p.phi)
     c1 = 2.0 * p.f * ((two_delta + 2.0 * p.u) * phase - 2j * p.g / phase) / den
@@ -136,7 +142,13 @@ def optimal_g(f: float, phi: float, delta: float, kappa: float = 1.0) -> float:
         raise SingularParametersError(
             f"optimal gain has a pole at kappa + 2*delta = 0 (got {pole:.3e})"
         )
-    return 2.0 * f**2 * (math.cos(2.0 * phi) + math.sin(2.0 * phi)) / pole
+    try:
+        g_star = 2.0 * f**2 * (math.cos(2.0 * phi) + math.sin(2.0 * phi)) / pole
+    except OverflowError:
+        g_star = math.inf
+    if not math.isfinite(g_star):
+        raise SingularParametersError(f"optimal gain overflows double precision (got {g_star})")
+    return g_star
 
 
 def g2_analytic(a: AmplitudeSet) -> float | None:

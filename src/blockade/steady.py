@@ -15,11 +15,14 @@ the singular system with the vectorized trace constraint and solving the
 resulting square system with SuperLU.  The system is factored as P A P^T,
 under a symmetric minimum-degree ordering of A + A^T that is computed once
 per (truncation, replaced row) and applied by a cached gather, with
-diagonal-preferring threshold pivoting and small relaxed supernodes.  The
-condition guard estimates ||A^-1||_1 by Hager-Higham iteration straight on
-that factor.  SuperLU's BLAS runs on one thread while it factors and
-solves.  Truncation is controlled by re-solving at growing dimension
-until the observables stop moving on a log10 scale.
+diagonal-preferring threshold pivoting, small relaxed supernodes and
+one-column panels: SuperLU's wider default panel buys BLAS-3 reuse only on
+wide supernodes, which these small systems never have, and its work arrays
+cost page faults on every factor.  The condition guard estimates
+||A^-1||_1 by Hager-Higham iteration straight on that factor.  SuperLU's
+BLAS runs on one thread while it factors and solves.  Truncation is
+controlled by re-solving at growing dimension until the observables stop
+moving on a log10 scale.
 """
 
 from __future__ import annotations
@@ -218,6 +221,9 @@ def _system(d: int, replaced: int):
     return order, take, sys_indices, sys_indptr
 
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
 def _inverse_norm_estimate(lu, n: int) -> float:
     """Lower bound on ||A^-1||_1 from the SuperLU factor lu of the n x n A.
 
@@ -228,18 +234,23 @@ def _inverse_norm_estimate(lu, n: int) -> float:
     onenormest(t=1) step for step (start vector, sign rounding, the
     unconjugated parallel-sign test, the exits and argsort's tie-breaking),
     so it returns the same float without a LinearOperator around the factor.
+    Where onenormest would iterate on NaN, it does not: a solve that
+    overflows returns inf at once (for the rcond guard to reject), and a
+    subnormal entry, whose y / |y| overflows, rounds to sign 1 like a zero.
     """
     x = np.full(n, 1.0 / n)
     for k in range(1, 7):  # iteration 6 always returns
         y = lu.solve(x)
-        est = np.abs(y).sum()
+        magnitude = np.abs(y)
+        est = magnitude.sum()
+        if not math.isfinite(est):
+            return math.inf
         if k > 1 and est <= est_old:
             return float(est_old)
         if k > 5:
             return float(est)
-        signs = y.copy()
-        signs[signs == 0] = 1
-        signs /= np.abs(signs)
+        zero = magnitude < _TINY
+        signs = np.where(zero, 1.0, y) / np.where(zero, 1.0, magnitude)
         if k > 1 and np.dot(signs, signs_old) == n:  # the signs repeat
             return float(est)
         h = np.abs(lu.solve(signs, trans="H"))
@@ -325,24 +336,34 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
     the square system A is then solved by sparse LU (SuperLU), factored as
     P A P^T on the symmetric minimum-degree ordering cached per (d, replaced
-    row), with pivoting that prefers the diagonal and small relaxed
-    supernodes, while every OpenBLAS in the process is held to one thread
-    (counts restored on return).  An exactly singular factor, or a
-    reciprocal 1-norm condition estimate below 1e-14 (||A^-1||_1 by the
-    Hager-Higham estimator run on the factor; both norms are invariant
-    under P A P^T), raises SteadyStateError rather than returning digits
-    that are mostly noise, as does a residual above 1e-9 ||L||_inf or a
-    solution that fails the DensityMatrix physicality checks.
+    row), with pivoting that prefers the diagonal, small relaxed supernodes
+    and one-column panels (these supernodes are too narrow for a wider
+    panel to reuse anything, and its work arrays cost page faults on every
+    call), while every OpenBLAS in the process is held to one thread
+    (counts restored on return).  A system that overflows double precision,
+    an exactly singular factor, or a reciprocal 1-norm condition estimate
+    below 1e-14 (||A^-1||_1 by the Hager-Higham estimator run on the
+    factor; both norms are invariant under P A P^T) raises SteadyStateError
+    rather than returning digits that are mostly noise, as does a residual
+    above 1e-9 ||L||_inf or a solution that fails the DensityMatrix
+    physicality checks.
     """
     d = space.dim
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
-    big_l = liouvillian(p, space)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        big_l = liouvillian(p, space)
     data, indptr = big_l.data, big_l.indptr
     size = d * d
 
     # every row stores its diagonal entry, so no row of the pattern is empty
     abs_data = np.abs(data)
+    scale = float(np.max(np.add.reduceat(abs_data, indptr[:-1])))  # ||L||_inf
+    if not math.isfinite(scale):
+        raise SteadyStateError(
+            f"steady-state system at dim={d} overflows double precision; "
+            f"try smaller parameters"
+        )
     replaced = int(np.argmin(np.maximum.reduceat(abs_data, indptr[:-1])))
     order, take, sys_indices, sys_indptr = _system(d, replaced)
     sys_data = np.append(data, 1.0)[take]
@@ -352,19 +373,23 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     # wherever it is within a factor 100 of its column's largest candidate.
     # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
     # default merges larger ones) keeps the fill and saves 15-30% of the
-    # factor time up to D=36.
+    # factor time up to D=36.  Panels of one column: a wider panel buys
+    # BLAS-3 reuse only across wide supernodes, which these never are, and
+    # its work arrays cost ~100 page faults per call on the hot path.
     system = csc_array((sys_data, sys_indices, sys_indptr), shape=(size, size))
     # one BLAS thread: see _openblas_thread_controls
     with _one_blas_thread():
         try:
-            lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4)
+            lu = splu(
+                system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4, panel_size=1
+            )
         except RuntimeError as exc:
             raise SteadyStateError(
                 f"singular steady-state system at dim={d}; try a larger truncation "
                 f"or different parameters ({exc})"
             ) from exc
         # every column holds an entry of H's band, so no column is empty
-        anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
+        anorm = float(np.max(np.add.reduceat(np.append(abs_data, 1.0)[take], sys_indptr[:-1])))
         rcond = 1.0 / (anorm * _inverse_norm_estimate(lu, size))
         if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
             raise SteadyStateError(
@@ -379,7 +404,6 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     rho = rho / np.real(np.trace(rho))
 
     residual = float(np.max(np.abs(big_l @ rho.flatten(order="F"))))
-    scale = float(np.max(np.add.reduceat(abs_data, indptr[:-1])))
     if residual > 1e-9 * scale:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}"

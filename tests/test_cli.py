@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -150,6 +151,15 @@ class TestExitCodes:
         assert main(["solve", "--f", "0.1"]) == 1
         assert "solver failure: unphysical observables" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["solve", "--f", "1e300"], ["solve", "--delta", "1e308", "--f", "1"]])
+    def test_overflowing_system_is_one_line_solver_failure(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print ahead of the diagnostic
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ")
+        assert len(err.splitlines()) == 1
+
     def test_unstable_point_is_solver_failure(self, capsys, monkeypatch):
         never_solve(monkeypatch)
         assert main(["solve", "--g", "0.3", "--f", "0.1"]) == 1
@@ -214,6 +224,8 @@ class TestExitCodes:
             ["solve", "--max-dim", "ten"],
             ["solve", "--f", "0.1", "--tol", "nan"],
             ["sweep", "--axis", "f:0:0.1:3", "--tol", "-1"],
+            ["analytic", "--f", "1e300"],  # f**2 overflows double precision
+            ["optimal", "--f", "1e300"],
         ]
         for argv in corpus:
             code = main(argv)

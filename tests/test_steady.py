@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="singular") as excinfo:
             steady_state(SystemParams(f=0.1), FockSpace(12))
         assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    def test_subnormal_solve_entries_raise_no_warning(self):
+        # a gain this small leaves subnormal entries in the condition
+        # estimator's solves, where onenormest's sign rounding y / |y|
+        # overflows to NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = steady_state(SystemParams(g=5.4e-308), FockSpace(12))
+        np.testing.assert_allclose(rho.entries, ketbra(12, 0), atol=1e-15)
 
     def test_off_ladder_dim_matches_dense_kernel(self):
         p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
