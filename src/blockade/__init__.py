@@ -8,6 +8,8 @@ analytics (truncated amplitudes, destructive-interference conditions and
 the optimal parametric gain) together with parameter-sweep presets.
 """
 
+import types
+
 from .model import SystemParams, FockSpace, EnergyLevel, annihilation
 from .model import build_h_eff, build_h_non, energy_levels
 from .steady import (
@@ -33,37 +35,11 @@ from .analytic import (
 )
 from .sweep import GridAxis, SweepRow, SweepResult, run_sweep, preset, optimal_curve
 
+# every name imported above, and none of the submodules
 __all__ = [
-    "SystemParams",
-    "FockSpace",
-    "EnergyLevel",
-    "annihilation",
-    "build_h_eff",
-    "build_h_non",
-    "energy_levels",
-    "DensityMatrix",
-    "Observables",
-    "SteadyStateError",
-    "ConvergenceError",
-    "liouvillian",
-    "steady_state",
-    "observables",
-    "converged_steady_state",
-    "AmplitudeSet",
-    "DegenerateParametersError",
-    "SingularParametersError",
-    "amplitudes_closed_form",
-    "amplitudes_linear_solve",
-    "interference_residual",
-    "blockade_conditions",
-    "optimal_g",
-    "g2_analytic",
-    "GridAxis",
-    "SweepRow",
-    "SweepResult",
-    "run_sweep",
-    "preset",
-    "optimal_curve",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]
 
 __version__ = "0.1.0"

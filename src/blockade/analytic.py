@@ -74,6 +74,8 @@ def amplitudes_closed_form(p: SystemParams) -> AmplitudeSet:
     phase = cmath.exp(1j * p.phi)
     c1 = 2.0 * p.f * ((two_delta + 2.0 * p.u) * phase - 2j * p.g / phase) / den
     c2 = -math.sqrt(2.0) * interference_residual(p) / den
+    if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
+        raise DegenerateParametersError("amplitudes overflow double precision at these parameters")
     return AmplitudeSet(c0=1.0 + 0.0j, c1=c1, c2=c2)
 
 
@@ -114,6 +116,8 @@ def interference_residual(p: SystemParams) -> complex:
     |0>->|2> parametric path; R = 0 is complete destructive interference
     and hence a vanishing two-photon amplitude.
     """
+    if not math.isfinite(2.0 * p.phi):
+        raise DegenerateParametersError(f"2*phi overflows double precision (phi = {p.phi:.3e})")
     return 2.0 * p.f**2 * cmath.exp(2j * p.phi) - p.g * p.kappa - 2j * p.delta * p.g
 
 
@@ -137,6 +141,8 @@ def optimal_g(f: float, phi: float, delta: float, kappa: float = 1.0) -> float:
     exposed separately via blockade_conditions.  G* can be negative, e.g.
     around phi = pi/2.
     """
+    if not math.isfinite(2.0 * phi):
+        raise SingularParametersError(f"2*phi overflows double precision (phi = {phi:.3e})")
     pole = kappa + 2.0 * delta
     if abs(pole) <= DEGENERACY_FLOOR:
         raise SingularParametersError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -352,6 +353,8 @@ def execute(cfg: RunConfig) -> int:
                     handle.truncate(0)
                 handle.write(sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result))
                 handle.flush()
+            except BrokenPipeError:
+                raise  # reported by main, as for every command
             except OSError as exc:
                 print(f"cannot write output: {exc}", file=err)
                 return 1
@@ -374,7 +377,15 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)
-    return execute(cfg)
+    try:
+        code = execute(cfg)
+        sys.stdout.flush()  # where a block-buffered stdout meets a closed pipe
+    except BrokenPipeError as exc:
+        # point stdout at devnull: the interpreter's exit flush would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

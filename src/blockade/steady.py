@@ -10,11 +10,12 @@ vec(A rho B) = kron(B.T, A) vec(rho).  The D^2 x D^2 Liouvillian has about
 ten nonzeros per row, so it is built as a scipy.sparse matrix on an index
 pattern computed once per truncation D; each parameter point only fills in
 the data, which is affine in H and kappa.  The steady state is the
-unit-trace kernel vector of the Liouvillian, found by replacing one row of
-the singular system with the vectorized trace constraint and solving the
-resulting square system with SuperLU.  The system is factored as P A P^T,
-under a symmetric minimum-degree ordering of A + A^T that is computed once
-per (truncation, replaced row) and applied by a cached gather, with
+unit-trace kernel vector of the Liouvillian, found by replacing trace row 0
+(the rho_00 equation) of the singular system with the vectorized trace
+constraint and solving the square system with SuperLU.  Row 0 has the
+smallest sup norm of any row for D >= 4, so one layout, cached per
+truncation, serves every point: the system is factored as P A P^T under a
+symmetric minimum-degree ordering of A + A^T, applied by a cached gather, with
 diagonal-preferring threshold pivoting, small relaxed supernodes and
 one-column panels: SuperLU's wider default panel buys BLAS-3 reuse only on
 wide supernodes, which these small systems never have, and its work arrays
@@ -179,13 +180,16 @@ def _pattern(d: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _system(d: int, replaced: int):
+def _system(d: int):
     """Layout of the trace-constrained system at truncation d, shared by every point.
 
-    The system A is L with row `replaced` swapped for the trace functional.
-    It is stored as P A P^T, with P the symmetric minimum-degree ordering of
-    A + A^T (SuperLU's "symmetric mode"), which fills far less than a fresh
-    COLAMD ordering per call.  Returns (order, take, indices, indptr): the
+    The system A is L with trace row 0 (the rho_00 equation) swapped for the
+    trace functional, so the layout is cached per truncation: for d >= 4 row
+    0 has the smallest sup norm of L, max(kappa, F, sqrt(2)|G|), which every
+    other row's jump or diagonal, drive and gain entries reach.  A is stored
+    as P A P^T, with P the symmetric minimum-degree ordering of A + A^T
+    (SuperLU's "symmetric mode"), which fills far less than a fresh COLAMD
+    ordering per call.  Returns (order, take, indices, indptr): the
     ordering, so that P A P^T = A[order][:, order]; the CSC index arrays of
     that matrix; and the gather `take`, which reads its data from
     np.append(L.data, 1.0), whose trailing 1 fills every trace-row entry.
@@ -195,11 +199,10 @@ def _system(d: int, replaced: int):
     """
     indices, indptr, _, _ = _pattern(d)
     size = d * d
-    rows = np.repeat(np.arange(size), np.diff(indptr))
-    keep = rows != replaced
-    rows = np.concatenate([rows[keep], np.full(d, replaced)])
-    cols = np.concatenate([indices[keep], np.arange(d) * (d + 1)])  # vec index of rho[n, n]
-    source = np.concatenate([np.flatnonzero(keep), np.full(d, indices.size)])
+    first = indptr[1]  # row 0's entries, which the trace row replaces, come first
+    rows = np.concatenate([np.repeat(np.arange(1, size), np.diff(indptr[1:])), np.zeros(d, int)])
+    cols = np.concatenate([indices[first:], np.arange(d) * (d + 1)])  # vec index of rho[n, n]
+    source = np.concatenate([np.arange(first, indices.size), np.full(d, indices.size)])
 
     # A row of L holds at most nine off-diagonal entries and the trace row d,
     # so a diagonal of 4d makes the probe strictly dominant, hence nonsingular.
@@ -332,21 +335,20 @@ def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
 def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     """Unique steady state of the master equation at fixed truncation.
 
-    One row of the singular Liouvillian (the one with the smallest sup
-    norm) is replaced by the vectorized trace functional, pinning Tr rho = 1;
-    the square system A is then solved by sparse LU (SuperLU), factored as
-    P A P^T on the symmetric minimum-degree ordering cached per (d, replaced
-    row), with pivoting that prefers the diagonal, small relaxed supernodes
-    and one-column panels (these supernodes are too narrow for a wider
-    panel to reuse anything, and its work arrays cost page faults on every
-    call), while every OpenBLAS in the process is held to one thread
-    (counts restored on return).  A system that overflows double precision,
-    an exactly singular factor, or a reciprocal 1-norm condition estimate
-    below 1e-14 (||A^-1||_1 by the Hager-Higham estimator run on the
-    factor; both norms are invariant under P A P^T) raises SteadyStateError
-    rather than returning digits that are mostly noise, as does a residual
-    above 1e-9 ||L||_inf or a solution that fails the DensityMatrix
-    physicality checks.
+    Trace row 0 of the singular Liouvillian (the rho_00 equation, the row of
+    smallest sup norm for d >= 4) is swapped for the vectorized trace
+    functional, pinning Tr rho = 1; the square system A is solved by sparse
+    LU (SuperLU), factored as P A P^T on the layout and symmetric
+    minimum-degree ordering cached per truncation, with pivoting that
+    prefers the diagonal, small relaxed supernodes and one-column panels
+    (too narrow for a wider panel to reuse anything, whose work arrays cost
+    page faults on every call), while every OpenBLAS in the process is held
+    to one thread (counts restored on return).  A system that overflows
+    double precision, an exactly singular factor, or a reciprocal 1-norm
+    condition estimate below 1e-14 (||A^-1||_1 by the Hager-Higham estimator
+    run on the factor; both norms are invariant under P A P^T) raises
+    SteadyStateError rather than returning digits that are mostly noise, as
+    does a residual above 1e-9 ||L||_inf or an unphysical DensityMatrix.
     """
     d = space.dim
     if d < 3:
@@ -364,8 +366,7 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
             f"steady-state system at dim={d} overflows double precision; "
             f"try smaller parameters"
         )
-    replaced = int(np.argmin(np.maximum.reduceat(abs_data, indptr[:-1])))
-    order, take, sys_indices, sys_indptr = _system(d, replaced)
+    order, take, sys_indices, sys_indptr = _system(d)
     sys_data = np.append(data, 1.0)[take]
     # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
     # small populations of a graded state accurate (g2 to ~1e-15 where A^T
@@ -397,7 +398,7 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
                 f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
             )
         vec = np.empty(size, dtype=complex)
-        vec[order] = lu.solve((order == replaced).astype(complex))
+        vec[order] = lu.solve((order == 0).astype(complex))
 
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)

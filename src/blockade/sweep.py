@@ -62,6 +62,8 @@ class GridAxis:
             raise ValueError("axis bounds must be finite")
         if not self.min < self.max:
             raise ValueError(f"min must be below max, got [{self.min}, {self.max}]")
+        if self.values is None and not math.isfinite(self.max - self.min):
+            raise ValueError(f"axis span [{self.min}, {self.max}] overflows double precision")
         if self.values is not None:
             values = tuple(float(v) for v in self.values)
             if len(values) != self.count:

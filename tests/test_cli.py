@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -226,11 +229,60 @@ class TestExitCodes:
             ["sweep", "--axis", "f:0:0.1:3", "--tol", "-1"],
             ["analytic", "--f", "1e300"],  # f**2 overflows double precision
             ["optimal", "--f", "1e300"],
+            ["analytic", "--u", "1e300", "--f", "1e10"],  # C1 overflows
+            ["analytic", "--phi", "1e308", "--f", "1"],  # 2*phi overflows
+            ["optimal", "--phi", "1e308"],
         ]
         for argv in corpus:
             code = main(argv)
             capsys.readouterr()
             assert code == 2, f"argv {argv!r} returned {code}"
+        # parameters the analytics cannot evaluate are not usage errors
+        for argv, label in [
+            (corpus[-3], "degenerate parameters: "),
+            (corpus[-2], "degenerate parameters: "),
+            (corpus[-1], "singular parameters: "),
+        ]:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(label), f"argv {argv!r} printed {err!r}"
+            assert len(err.splitlines()) == 1
+
+    def test_overflowing_axis_span_is_one_line_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print ahead of the diagnostic
+            assert main(["sweep", "--axis", "delta:-1e308:1e308:3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad axis ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--f", "0.1"], ["optimal"], ["analytic"], ["spectrum"], ["sweep", "--axis", "f:0:0.1:2"]],
+    )
+    def test_closed_stdout_is_one_line_io_failure(self, argv, buffered):
+        env = {**os.environ, "BLOCKADE_THREADS": "1"}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blockade.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 class TestSolveCommand:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csc_array, diags_array
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -29,6 +31,10 @@ from blockade.steady import (
     observables,
     steady_state,
 )
+
+
+# rates drawn log-uniformly over sixteen decades
+RATES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 
 
 def vec(rho):
@@ -284,29 +290,43 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("dim", [4, 7])
     def test_system_layout_matches_dense_oracle(self, dim):
-        # rows 1, d+1 and d^2-1 are never the stock choice; row 1 (rho[1, 0])
-        # is a coherence, whose trace row has no diagonal entry, and d+1 and
-        # d^2-1 are the populations rho[1, 1] and rho[d-1, d-1]
         p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
         dense = dense_liouvillian(p, dim)
         data = liouvillian(p, FockSpace(dim)).data
         size = dim * dim
-        for replaced in (0, 1, dim + 1, size - 1):
-            order, take, indices, indptr = blockade.steady._system(dim, replaced)
-            assert sorted(order) == list(range(size))
-            expected = dense.copy()
-            expected[replaced] = vec(np.eye(dim, dtype=complex))
-            expected = expected[order][:, order]
-            gathered = csc_array((np.append(data, 1.0)[take], indices, indptr), shape=(size, size))
-            assert gathered.has_canonical_format
-            assert np.max(np.abs(gathered.toarray() - expected)) <= 1e-14 * np.linalg.norm(dense, np.inf)
-            assert not take.flags.writeable and not order.flags.writeable
+        order, take, indices, indptr = blockade.steady._system(dim)
+        assert sorted(order) == list(range(size))
+        expected = dense.copy()
+        expected[0] = vec(np.eye(dim, dtype=complex))  # the trace row replaces rho_00's
+        expected = expected[order][:, order]
+        gathered = csc_array((np.append(data, 1.0)[take], indices, indptr), shape=(size, size))
+        assert gathered.has_canonical_format
+        assert np.max(np.abs(gathered.toarray() - expected)) <= 1e-14 * np.linalg.norm(dense, np.inf)
+        assert not take.flags.writeable and not order.flags.writeable
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(4, 30),
+        kappa=RATES,
+        rates=st.tuples(*[st.one_of(st.just(0.0), RATES) for _ in range(4)]),
+        signs=st.tuples(*[st.sampled_from((1.0, -1.0)) for _ in range(3)]),
+        phi=st.floats(-1e6, 1e6),
+    )
+    def test_trace_row_has_smallest_sup_norm(self, dim, kappa, rates, signs, phi):
+        # why steady_state always swaps row 0 for the trace row: its sup norm
+        # max(kappa, F, sqrt(2)|G|) is reached by every other row's jump or
+        # diagonal, drive and gain entries, and argmin breaks a tie towards 0
+        delta, u, g, f = rates
+        p = SystemParams(
+            delta=signs[0] * delta, u=signs[1] * u, g=signs[2] * g, f=f, phi=phi, kappa=kappa
+        )
+        gen = liouvillian(p, FockSpace(dim))
+        sup = np.maximum.reduceat(np.abs(gen.data), gen.indptr[:-1])
+        assert np.argmin(sup) == 0
 
     def test_result_does_not_depend_on_solve_order(self):
         target = SystemParams(delta=-0.4, u=0.3, g=0.05, f=0.3, phi=0.7)
         other = SystemParams(delta=1.5, u=0.0, g=0.0, f=0.2)  # zero H entries in the pattern
-        for p in (target, other):  # both replace the same row, so share one layout
-            assert np.argmin(abs(liouvillian(p, FockSpace(18))).max(axis=1).toarray()) == 0
         blockade.steady._system.cache_clear()
         cold = steady_state(target, FockSpace(18)).entries
         blockade.steady._system.cache_clear()
@@ -328,9 +348,7 @@ class TestSteadyState:
         steady_state(p, FockSpace(36))
         cached = factors[-1].L.nnz + factors[-1].U.nnz
 
-        gen = liouvillian(p, FockSpace(36))
-        assert np.argmin(abs(gen).max(axis=1).toarray()) == 0  # the row steady_state replaced
-        unpermuted = gen.tolil()
+        unpermuted = liouvillian(p, FockSpace(36)).tolil()
         unpermuted[0, :] = 0.0
         unpermuted[0, np.arange(36) * 37] = 1.0
         default = splu(csc_array(unpermuted))

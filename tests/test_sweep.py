@@ -65,6 +65,12 @@ class TestGridAxis:
         with pytest.raises(ValueError):
             GridAxis.linear("g", 0.2, -0.05, 11)
 
+    def test_rejects_linear_span_that_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            GridAxis.linear("delta", -1e308, 1e308, 3)
+        explicit = GridAxis.explicit("delta", (-1e308, 0.0, 1e308))  # no step to compute
+        np.testing.assert_array_equal(explicit.points(), [-1e308, 0.0, 1e308])
+
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             GridAxis.linear("kappa", 0.5, 2.0, 5)
