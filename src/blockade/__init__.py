@@ -10,7 +10,7 @@ the optimal parametric gain) together with parameter-sweep presets.
 
 import types
 
-from .model import SystemParams, FockSpace, EnergyLevel, annihilation
+from .model import SystemParams, FockSpace, annihilation
 from .model import build_h_eff, build_h_non, energy_levels
 from .steady import (
     DensityMatrix,
@@ -29,11 +29,10 @@ from .analytic import (
     amplitudes_closed_form,
     amplitudes_linear_solve,
     interference_residual,
-    blockade_conditions,
     optimal_g,
     g2_analytic,
 )
-from .sweep import GridAxis, SweepRow, SweepResult, run_sweep, preset, optimal_curve
+from .sweep import GridAxis, SweepRow, SweepResult, run_sweep, preset
 
 # every name imported above, and none of the submodules
 __all__ = [

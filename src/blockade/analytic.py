@@ -39,15 +39,13 @@ class SingularParametersError(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudeSet:
-    """Amplitudes of the two-photon-truncated steady state, C0 normalized to 1
-    by the closed-form constructors."""
+    """Amplitudes C1, C2 of the two-photon-truncated steady state, with C0 = 1."""
 
-    c0: complex
     c1: complex
     c2: complex
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2"):
+        for name in ("c1", "c2"):
             value = complex(getattr(self, name))
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -76,7 +74,7 @@ def amplitudes_closed_form(p: SystemParams) -> AmplitudeSet:
     c2 = -math.sqrt(2.0) * interference_residual(p) / den
     if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
         raise DegenerateParametersError("amplitudes overflow double precision at these parameters")
-    return AmplitudeSet(c0=1.0 + 0.0j, c1=c1, c2=c2)
+    return AmplitudeSet(c1=c1, c2=c2)
 
 
 def amplitudes_linear_solve(p: SystemParams) -> AmplitudeSet:
@@ -106,7 +104,7 @@ def amplitudes_linear_solve(p: SystemParams) -> AmplitudeSet:
             f"truncated amplitude system is singular (|det| = {abs(det):.3e})"
         )
     c1, c2 = np.linalg.solve(matrix, rhs)
-    return AmplitudeSet(c0=1.0 + 0.0j, c1=complex(c1), c2=complex(c2))
+    return AmplitudeSet(c1=complex(c1), c2=complex(c2))
 
 
 def interference_residual(p: SystemParams) -> complex:
@@ -114,22 +112,20 @@ def interference_residual(p: SystemParams) -> complex:
 
     R sums the sequential |0>->|1>->|2> drive path against the direct
     |0>->|2> parametric path; R = 0 is complete destructive interference
-    and hence a vanishing two-photon amplitude.
+    and hence a vanishing two-photon amplitude.  Its real and imaginary
+    parts are the two blockade conditions:
+      Re R = 2 F^2 cos(2 phi) - G kappa = 0
+      Im R = 2 F^2 sin(2 phi) - 2 delta G = 0
     """
     if not math.isfinite(2.0 * p.phi):
         raise DegenerateParametersError(f"2*phi overflows double precision (phi = {p.phi:.3e})")
-    return 2.0 * p.f**2 * cmath.exp(2j * p.phi) - p.g * p.kappa - 2j * p.delta * p.g
-
-
-def blockade_conditions(p: SystemParams) -> tuple[float, float]:
-    """Real and imaginary parts of the interference residual, as a pair.
-
-    Both vanish exactly when the two excitation paths cancel:
-      2 F^2 cos(2 phi) - G kappa = 0
-      2 F^2 sin(2 phi) - 2 delta G = 0
-    """
-    r = interference_residual(p)
-    return r.real, r.imag
+    try:
+        r = 2.0 * p.f**2 * cmath.exp(2j * p.phi) - p.g * p.kappa - 2j * p.delta * p.g
+    except OverflowError:  # a float power raises where a product gives inf
+        r = complex(math.inf)
+    if not cmath.isfinite(r):
+        raise DegenerateParametersError("interference residual overflows double precision at these parameters")
+    return r
 
 
 def optimal_g(f: float, phi: float, delta: float, kappa: float = 1.0) -> float:
@@ -137,9 +133,9 @@ def optimal_g(f: float, phi: float, delta: float, kappa: float = 1.0) -> float:
 
       G* = 2 F^2 (cos(2 phi) + sin(2 phi)) / (kappa + 2 delta)
 
-    This is the combined (single-equation) condition; the exact pair is
-    exposed separately via blockade_conditions.  G* can be negative, e.g.
-    around phi = pi/2.
+    This is the combined (single-equation) condition; the exact pair is the
+    real and imaginary parts of interference_residual.  G* can be negative,
+    e.g. around phi = pi/2.
     """
     if not math.isfinite(2.0 * phi):
         raise SingularParametersError(f"2*phi overflows double precision (phi = {phi:.3e})")

@@ -20,8 +20,8 @@ from .analytic import (
     DegenerateParametersError,
     SingularParametersError,
     amplitudes_closed_form,
-    blockade_conditions,
     g2_analytic,
+    interference_residual,
     optimal_g,
 )
 from .model import SystemParams, energy_levels
@@ -124,8 +124,7 @@ def parse_axis(text: str) -> GridAxis:
     parts = text.split(":")
     try:
         if len(parts) == 2 and "," in parts[1]:
-            values = [float(v) for v in parts[1].split(",")]
-            return GridAxis.explicit(parts[0], values)
+            return GridAxis(parts[0], parts[1].split(","))
         if len(parts) == 4:
             return GridAxis.linear(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
     except (TypeError, ValueError) as exc:
@@ -311,15 +310,15 @@ def execute(cfg: RunConfig) -> int:
         if cfg.command == "analytic":
             try:
                 amps = amplitudes_closed_form(cfg.params)
+                residual = interference_residual(cfg.params)
             except DegenerateParametersError as exc:
                 print(f"degenerate parameters: {exc}", file=err)
                 return 2
-            real_res, imag_res = blockade_conditions(cfg.params)
             print(f"c1 = {_format_complex(amps.c1)}", file=out)
             print(f"c2 = {_format_complex(amps.c2)}", file=out)
             print(f"g2_analytic = {format_value(g2_analytic(amps))}", file=out)
-            print(f"real_residual = {format_value(real_res)}", file=out)
-            print(f"imag_residual = {format_value(imag_res)}", file=out)
+            print(f"real_residual = {format_value(residual.real)}", file=out)
+            print(f"imag_residual = {format_value(residual.imag)}", file=out)
             return 0
 
         if cfg.command == "optimal":
@@ -334,8 +333,8 @@ def execute(cfg: RunConfig) -> int:
 
         if cfg.command == "spectrum":
             print("n,energy", file=out)
-            for level in energy_levels(cfg.omega_a, cfg.params.u, cfg.n_max):
-                print(f"{level.n},{format_value(level.energy)}", file=out)
+            for n, energy in enumerate(energy_levels(cfg.omega_a, cfg.params.u, cfg.n_max)):
+                print(f"{n},{format_value(energy)}", file=out)
             return 0
 
         # sweep: the output is opened before solving, so a bad path costs no

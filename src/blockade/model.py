@@ -84,18 +84,6 @@ def annihilation(space: FockSpace) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """Bare level n at energy n*omega_a + n(n-1)*u."""
-
-    n: int
-    energy: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-
-
 def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven Kerr cavity with parametric gain.
 
@@ -129,8 +117,8 @@ def build_h_non(p: SystemParams, space: FockSpace) -> np.ndarray:
     return build_h_eff(p, space) - 0.5j * p.kappa * n_op
 
 
-def energy_levels(omega_a: float, u: float, n_max: int) -> list[EnergyLevel]:
-    """Bare cavity spectrum E_n = n*omega_a + n(n-1)*u for n = 0..n_max.
+def energy_levels(omega_a: float, u: float, n_max: int) -> list[float]:
+    """Bare cavity spectrum E_n = n*omega_a + n(n-1)*u, indexed by n = 0..n_max.
 
     The Kerr term shifts level n by n(n-1)*u, so the two-photon level sits
     2*u away from twice the one-photon energy; that anharmonicity is what
@@ -138,4 +126,4 @@ def energy_levels(omega_a: float, u: float, n_max: int) -> list[EnergyLevel]:
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
-    return [EnergyLevel(n=n, energy=n * omega_a + n * (n - 1) * u) for n in range(n_max + 1)]
+    return [n * omega_a + n * (n - 1) * u for n in range(n_max + 1)]

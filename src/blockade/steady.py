@@ -10,20 +10,11 @@ vec(A rho B) = kron(B.T, A) vec(rho).  The D^2 x D^2 Liouvillian has about
 ten nonzeros per row, so it is built as a scipy.sparse matrix on an index
 pattern computed once per truncation D; each parameter point only fills in
 the data, which is affine in H and kappa.  The steady state is the
-unit-trace kernel vector of the Liouvillian, found by replacing trace row 0
-(the rho_00 equation) of the singular system with the vectorized trace
-constraint and solving the square system with SuperLU.  Row 0 has the
-smallest sup norm of any row for D >= 4, so one layout, cached per
-truncation, serves every point: the system is factored as P A P^T under a
-symmetric minimum-degree ordering of A + A^T, applied by a cached gather, with
-diagonal-preferring threshold pivoting, small relaxed supernodes and
-one-column panels: SuperLU's wider default panel buys BLAS-3 reuse only on
-wide supernodes, which these small systems never have, and its work arrays
-cost page faults on every factor.  The condition guard estimates
-||A^-1||_1 by Hager-Higham iteration straight on that factor.  SuperLU's
-BLAS runs on one thread while it factors and solves.  Truncation is
-controlled by re-solving at growing dimension until the observables stop
-moving on a log10 scale.
+unit-trace kernel vector of the Liouvillian, found by replacing row 0 (the
+rho_00 equation) of the singular system with the vectorized trace
+constraint and solving the square system with SuperLU on a layout cached
+per truncation (_system).  Truncation is controlled by re-solving at
+growing dimension until the observables stop moving on a log10 scale.
 """
 
 from __future__ import annotations
@@ -335,20 +326,14 @@ def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
 def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     """Unique steady state of the master equation at fixed truncation.
 
-    Trace row 0 of the singular Liouvillian (the rho_00 equation, the row of
-    smallest sup norm for d >= 4) is swapped for the vectorized trace
-    functional, pinning Tr rho = 1; the square system A is solved by sparse
-    LU (SuperLU), factored as P A P^T on the layout and symmetric
-    minimum-degree ordering cached per truncation, with pivoting that
-    prefers the diagonal, small relaxed supernodes and one-column panels
-    (too narrow for a wider panel to reuse anything, whose work arrays cost
-    page faults on every call), while every OpenBLAS in the process is held
-    to one thread (counts restored on return).  A system that overflows
-    double precision, an exactly singular factor, or a reciprocal 1-norm
-    condition estimate below 1e-14 (||A^-1||_1 by the Hager-Higham estimator
-    run on the factor; both norms are invariant under P A P^T) raises
-    SteadyStateError rather than returning digits that are mostly noise, as
-    does a residual above 1e-9 ||L||_inf or an unphysical DensityMatrix.
+    Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
+    the vectorized trace functional, pinning Tr rho = 1, and the square
+    system A is solved by sparse LU (SuperLU) while every OpenBLAS in the
+    process is held to one thread (counts restored on return).  A system
+    that overflows double precision, an exactly singular factor, or a
+    reciprocal 1-norm condition estimate below 1e-14 raises SteadyStateError
+    rather than returning digits that are mostly noise, as does a residual
+    above 1e-9 ||L||_inf or an unphysical DensityMatrix.
     """
     d = space.dim
     if d < 3:
@@ -389,7 +374,8 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
                 f"singular steady-state system at dim={d}; try a larger truncation "
                 f"or different parameters ({exc})"
             ) from exc
-        # every column holds an entry of H's band, so no column is empty
+        # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
+        # inverse); every column holds an entry of H's band, so none is empty
         anorm = float(np.max(np.add.reduceat(np.append(abs_data, 1.0)[take], sys_indptr[:-1])))
         rcond = 1.0 / (anorm * _inverse_norm_estimate(lu, size))
         if not np.isfinite(rcond) or rcond < RCOND_FLOOR:

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 # amplitudes_closed_form is not called here; bench/tracing.py looks it up on this module.
-from .analytic import amplitudes_closed_form, optimal_g  # noqa: F401
+from .analytic import amplitudes_closed_form  # noqa: F401
 from .model import SystemParams
 from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
 
@@ -36,59 +36,51 @@ SWEEPABLE_PARAMS = ("delta", "u", "g", "f", "phi")
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One swept parameter: linearly spaced by default, or explicit values.
-
-    min/max/count always describe the grid; when values is set, the points
-    are taken verbatim from it (used by presets whose stepped values are not
-    evenly spaced).
-    """
+    """One swept parameter and its grid points, finite and strictly increasing."""
 
     param: str
-    min: float
-    max: float
-    count: int
-    values: tuple[float, ...] | None = None
+    values: tuple[float, ...]
 
     def __post_init__(self):
         if self.param not in SWEEPABLE_PARAMS:
             raise ValueError(
                 f"unknown sweep parameter {self.param!r}; expected one of {SWEEPABLE_PARAMS}"
             )
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
-            raise TypeError(f"count must be an integer, got {self.count!r}")
-        if self.count < 2:
-            raise ValueError(f"count must be at least 2, got {self.count}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValueError("axis bounds must be finite")
-        if not self.min < self.max:
-            raise ValueError(f"min must be below max, got [{self.min}, {self.max}]")
-        if self.values is None and not math.isfinite(self.max - self.min):
-            raise ValueError(f"axis span [{self.min}, {self.max}] overflows double precision")
-        if self.values is not None:
-            values = tuple(float(v) for v in self.values)
-            if len(values) != self.count:
-                raise ValueError("explicit values must match count")
-            if not all(a < b for a, b in zip(values, values[1:])):
-                raise ValueError("explicit values must be strictly increasing")
-            if values[0] != self.min or values[-1] != self.max:
-                raise ValueError("explicit values must span [min, max]")
-            object.__setattr__(self, "values", values)
+        values = tuple(float(v) for v in self.values)
+        if len(values) < 2:
+            raise ValueError(f"an axis needs at least 2 points, got {len(values)}")
+        if not (all(map(math.isfinite, values)) and all(a < b for a, b in zip(values, values[1:]))):
+            raise ValueError("axis points must be finite and strictly increasing")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def linear(cls, param: str, lo: float, hi: float, count: int) -> "GridAxis":
-        return cls(param=param, min=float(lo), max=float(hi), count=count)
+        """count evenly spaced points from lo to hi, checked first so that numpy never warns."""
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TypeError(f"count must be an integer, got {count!r}")
+        if count < 2:
+            raise ValueError(f"count must be at least 2, got {count}")
+        lo, hi = float(lo), float(hi)
+        if not lo < hi:
+            raise ValueError(f"min must be below max, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):  # an infinite bound, or bounds too far apart
+            raise ValueError(f"axis span [{lo}, {hi}] overflows double precision")
+        return cls(param, np.linspace(lo, hi, count))
 
-    @classmethod
-    def explicit(cls, param: str, values) -> "GridAxis":
-        values = tuple(float(v) for v in values)
-        if len(values) < 2:
-            raise ValueError("explicit axis needs at least 2 values")
-        return cls(param=param, min=values[0], max=values[-1], count=len(values), values=values)
+    @property
+    def min(self) -> float:
+        return self.values[0]
+
+    @property
+    def max(self) -> float:
+        return self.values[-1]
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
 
     def points(self) -> np.ndarray:
-        if self.values is not None:
-            return np.array(self.values, dtype=float)
-        return np.linspace(self.min, self.max, self.count)
+        return np.array(self.values)
 
 
 @dataclass(frozen=True)
@@ -116,9 +108,7 @@ class SweepResult:
     metadata: dict = field(compare=False)
 
     def __post_init__(self):
-        expected = 1
-        for axis in self.axes:
-            expected *= axis.count
+        expected = math.prod(axis.count for axis in self.axes)
         if len(self.rows) != expected:
             raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
 
@@ -214,19 +204,19 @@ _PRESETS = {
     # contradicts the claim this preset exists to reproduce.
     "fig2a": (
         SystemParams(u=0.0, g=0.0, phi=0.0),
-        (GridAxis.explicit("f", (0.1, 0.2, 0.3)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+        (GridAxis("f", (0.1, 0.2, 0.3)), GridAxis.linear("delta", -3.0, 3.0, 201)),
     ),
     "fig2b": (
         SystemParams(delta=0.0, u=0.5, f=0.1),
-        (GridAxis.explicit("g", (0.05, 0.1, 0.2)), GridAxis.linear("phi", -_PI, _PI, 201)),
+        (GridAxis("g", (0.05, 0.1, 0.2)), GridAxis.linear("phi", -_PI, _PI, 201)),
     ),
     "fig2c": (
         SystemParams(u=0.5, f=0.1, phi=0.0),
-        (GridAxis.explicit("g", (0.05, 0.2, 0.4)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+        (GridAxis("g", (0.05, 0.2, 0.4)), GridAxis.linear("delta", -3.0, 3.0, 201)),
     ),
     "fig2d": (
         SystemParams(g=0.0, f=0.1, phi=0.0),
-        (GridAxis.explicit("u", (0.1, 0.5, 1.0, 2.0)), GridAxis.linear("delta", -3.0, 3.0, 201)),
+        (GridAxis("u", (0.1, 0.5, 1.0, 2.0)), GridAxis.linear("delta", -3.0, 3.0, 201)),
     ),
     **{
         f"fig3{tag}": (SystemParams(delta=0.0, u=0.5, phi=phi), _FIG1A_AXES)
@@ -252,11 +242,3 @@ def preset(name: str) -> tuple[SystemParams, list[GridAxis]]:
     base, axes = _PRESETS[name]
     return base, list(axes)
 
-
-def optimal_curve(
-    f_axis: GridAxis, phi: float, delta: float, kappa: float = 1.0
-) -> list[tuple[float, float]]:
-    """Optimal parametric gain sampled along a drive-strength axis."""
-    if f_axis.param != "f":
-        raise ValueError(f"curve wants a drive-strength axis, got {f_axis.param!r}")
-    return [(float(f), optimal_g(float(f), phi, delta, kappa)) for f in f_axis.points()]

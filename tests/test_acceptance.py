@@ -15,8 +15,8 @@ from helpers import rk4_steady, weak_drive_draw
 from blockade.analytic import (
     amplitudes_closed_form,
     amplitudes_linear_solve,
-    blockade_conditions,
     g2_analytic,
+    interference_residual,
     optimal_g,
 )
 from blockade.model import FockSpace, SystemParams
@@ -114,10 +114,10 @@ def test_05_closed_form_vs_linear_solve(capsys):
 def test_06_exact_two_path_cancellation(capsys):
     p = SystemParams(delta=0.5, u=0.0, g=math.sqrt(2) * 0.01, f=0.1, phi=math.pi / 8)
     amps = amplitudes_closed_form(p)
-    real_res, imag_res = blockade_conditions(p)
-    ok = abs(amps.c2) <= 1e-15 and abs(real_res) <= 1e-16 and abs(imag_res) <= 1e-16
+    residual = interference_residual(p)
+    ok = abs(amps.c2) <= 1e-15 and abs(residual.real) <= 1e-16 and abs(residual.imag) <= 1e-16
     verdict(capsys, 6, "exact two-path cancellation", ok,
-            f"|c2| {abs(amps.c2):.2e}, residuals {abs(real_res):.2e}/{abs(imag_res):.2e}")
+            f"|c2| {abs(amps.c2):.2e}, residuals {abs(residual.real):.2e}/{abs(residual.imag):.2e}")
 
 
 def test_07_resonance_peak_and_growth(capsys):

@@ -10,7 +10,6 @@ from blockade.analytic import (
     SingularParametersError,
     amplitudes_closed_form,
     amplitudes_linear_solve,
-    blockade_conditions,
     g2_analytic,
     interference_residual,
     optimal_g,
@@ -35,13 +34,12 @@ def random_params(rng):
 class TestAmplitudeSet:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            AmplitudeSet(c0=1.0, c1=complex(math.inf, 0), c2=0.0)
+            AmplitudeSet(c1=complex(math.inf, 0), c2=0.0)
 
 
 class TestClosedForm:
     def test_no_excitation_channels(self):
         amps = amplitudes_closed_form(SystemParams(delta=0.7, u=1.2))
-        assert amps.c0 == 1.0
         assert amps.c1 == 0.0
         assert amps.c2 == 0.0
 
@@ -104,19 +102,28 @@ class TestInterferenceResidual:
             ratios.append(abs(amplitudes_closed_form(p).c2) / abs(r))
         assert np.ptp(ratios) <= 1e-12 * ratios[0]
 
+    @pytest.mark.parametrize(
+        "p",
+        [SystemParams(f=1e300), SystemParams(g=1e300, delta=1e300)],
+        ids=["f_squared_overflows", "delta_g_overflows"],
+    )
+    def test_overflow_raises(self, p):
+        with pytest.raises(DegenerateParametersError, match="residual overflows"):
+            interference_residual(p)
+
 
 class TestBlockadeConditions:
     def test_cancellation_point(self):
-        real_res, imag_res = blockade_conditions(CANCELLATION)
-        assert abs(real_res) <= 1e-16
-        assert abs(imag_res) <= 1e-16
+        residual = interference_residual(CANCELLATION)
+        assert abs(residual.real) <= 1e-16
+        assert abs(residual.imag) <= 1e-16
 
     def test_zero_phase_on_resonance(self):
         f = 0.13
         p = SystemParams(g=2 * f**2, f=f)
-        real_res, imag_res = blockade_conditions(p)
-        assert real_res == pytest.approx(0.0, abs=1e-16)
-        assert imag_res == 0.0
+        residual = interference_residual(p)
+        assert residual.real == pytest.approx(0.0, abs=1e-16)
+        assert residual.imag == 0.0
 
     def test_pair_matches_paper_conditions(self):
         # the two conditions as the paper writes them, with phases well
@@ -124,7 +131,8 @@ class TestBlockadeConditions:
         rng = np.random.default_rng(79)
         for _ in range(1000):
             p = random_params(rng).replace(phi=float(rng.uniform(-7, 7)))
-            assert blockade_conditions(p) == (
+            residual = interference_residual(p)
+            assert (residual.real, residual.imag) == (
                 2 * p.f**2 * math.cos(2 * p.phi) - p.g * p.kappa,
                 2 * p.f**2 * math.sin(2 * p.phi) - 2 * p.delta * p.g,
             )
@@ -155,21 +163,21 @@ class TestOptimalGain:
                 continue
             g_star = optimal_g(f, phi, delta, kappa)
             p = SystemParams(delta=delta, g=g_star, f=f, phi=phi, kappa=kappa)
-            real_res, imag_res = blockade_conditions(p)
-            assert abs(real_res + imag_res) <= 1e-15
+            residual = interference_residual(p)
+            assert abs(residual.real + residual.imag) <= 1e-15
 
 
 class TestG2Analytic:
     def test_blocked_two_photon(self):
-        assert g2_analytic(AmplitudeSet(c0=1, c1=0.1, c2=0.0)) == 0.0
+        assert g2_analytic(AmplitudeSet(c1=0.1, c2=0.0)) == 0.0
 
     def test_pure_two_photon(self):
         c2 = 0.05 + 0.02j
         expected = 1.0 / (2.0 * abs(c2) ** 2)
-        assert g2_analytic(AmplitudeSet(c0=1, c1=0.0, c2=c2)) == pytest.approx(expected, rel=1e-12)
+        assert g2_analytic(AmplitudeSet(c1=0.0, c2=c2)) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_excitation_flagged(self):
-        assert g2_analytic(AmplitudeSet(c0=1, c1=0.0, c2=0.0)) is None
+        assert g2_analytic(AmplitudeSet(c1=0.0, c2=0.0)) is None
 
     def test_decreases_along_gain_path_to_cancellation(self):
         # phi = 0, delta = 0: the residual 2F^2 - G kappa is real and hits

@@ -1,8 +1,11 @@
-"""The names bench/tracing.py wraps must stay where it looks them up.
+"""What the benchmark reads of the library must stay where it looks for it.
 
 The tracer resolves each traced function with a bare getattr on the module
-the library calls it through, so renaming or deleting one of them breaks the
-traced benchmark run; these tests load the tracer unmodified and check it.
+the library calls it through, and the workloads build their inputs from the
+public API (GridAxis.linear and its min, max and points(), preset,
+SystemParams.replace) and read the rows' fields, so renaming or deleting any
+of them breaks the benchmark run; these tests load bench/tracing.py and
+bench/workloads.py unmodified and check them.
 """
 
 import importlib
@@ -12,18 +15,18 @@ from pathlib import Path
 import blockade.sweep as sweep
 from blockade.model import SystemParams
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in tracing.TRACED
@@ -33,7 +36,7 @@ def test_traced_names_resolve():
 
 
 def test_traced_sweep_records_rung_dims():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     axes = [sweep.GridAxis.linear("delta", 0.0, 1.0, 2)]
     with tracer.installed():
@@ -44,3 +47,13 @@ def test_traced_sweep_records_rung_dims():
     assert {"sweep.run_sweep", "steady.steady_state", "steady.liouvillian", "steady.observables"} <= names
     dims = sorted({span[tracing.DIM] for span in tracer.spans if span[tracing.NAME] == "steady.steady_state"})
     assert dims == [12, 18]
+
+
+def test_workload_inputs_build_and_map_rows_check():
+    workloads = load_bench("workloads")
+    base, axes = workloads.map_inputs(0)
+    points = workloads.map_points(base, axes)
+    assert len(points) == workloads.MAP_SIZE**2
+    assert len(workloads.ladder_inputs(0)) == sum(count for _, count, _ in workloads.LADDER_STRATA)
+    result = sweep.run_sweep(base, axes, workers=1)
+    assert [workloads.check_map_row(row, p, None, None) for row, p in zip(result.rows, points)] == [None] * len(points)

@@ -93,7 +93,7 @@ class TestParseConfig:
     def test_axis_flag_parsing(self):
         cfg = parse_config(["sweep", "--axis", "delta:-1:1:11", "--axis", "g:0.05,0.1,0.2"])
         assert cfg.axes[0] == GridAxis.linear("delta", -1.0, 1.0, 11)
-        assert cfg.axes[1] == GridAxis.explicit("g", (0.05, 0.1, 0.2))
+        assert cfg.axes[1] == GridAxis("g", (0.05, 0.1, 0.2))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(CliUsageError):
@@ -107,7 +107,7 @@ class TestParseAxis:
         assert parse_axis("f:0.01:0.3:101") == GridAxis.linear("f", 0.01, 0.3, 101)
 
     def test_explicit(self):
-        assert parse_axis("u:0.1,0.5,1,2") == GridAxis.explicit("u", (0.1, 0.5, 1.0, 2.0))
+        assert parse_axis("u:0.1,0.5,1,2") == GridAxis("u", (0.1, 0.5, 1.0, 2.0))
 
     @pytest.mark.parametrize(
         "text",

@@ -1,11 +1,11 @@
 """README's examples, run against the output they show.
 
 Every `key = value` line shown under a `$ blockade ...` example must match
-what cli.main prints: `dim` exactly, numbers to 1e-12 relative.  A list
-ending in `,...` (the populations line) is compared on the values it lists.
-The Python library example must print numbers that begin with the digits in
-its `# ...` comment, and every `blockade.<module>` in the module list must
-import.
+what cli.main prints: `dim` exactly, numbers to 1e-12 relative (as complex
+numbers where they end in `j`).  A list ending in `,...` (the populations
+line) is compared on the values it lists.  The Python library example must
+print numbers that begin with the digits in its `# ...` comment, and every
+`blockade.<module>` in the module list must import.
 """
 
 import contextlib
@@ -40,6 +40,10 @@ def readme_examples() -> list[tuple[str, dict]]:
 EXAMPLES = readme_examples()
 
 
+def number(text: str) -> float | complex:
+    return complex(text) if text.endswith("j") else float(text)
+
+
 def test_readme_has_examples_with_output():
     assert len(EXAMPLES) >= 2
     assert all(expected for _, expected in EXAMPLES)
@@ -58,8 +62,8 @@ def test_readme_example_output(command, expected, capsys):
         shown = value.removesuffix(",...").split(",")
         actual = printed[key].split(",")[: len(shown)]
         assert len(actual) == len(shown), key
-        assert [float(x) for x in actual] == pytest.approx(
-            [float(x) for x in shown], rel=1e-12, abs=0.0
+        assert [number(x) for x in actual] == pytest.approx(
+            [number(x) for x in shown], rel=1e-12, abs=0.0
         ), key
 
 

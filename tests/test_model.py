@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blockade.model import (
-    EnergyLevel,
     FockSpace,
     SystemParams,
     annihilation,
@@ -146,18 +145,17 @@ class TestNonHermitian:
 class TestSpectrum:
     def test_harmonic_ladder(self):
         levels = energy_levels(1.0, 0.0, 3)
-        assert [lv.energy for lv in levels] == [0.0, 1.0, 2.0, 3.0]
-        assert [lv.n for lv in levels] == [0, 1, 2, 3]
+        assert levels == [0.0, 1.0, 2.0, 3.0]
 
     def test_kerr_shift(self):
         levels = energy_levels(1.0, 0.5, 2)
-        assert levels[2].energy == pytest.approx(3.0)
+        assert levels[2] == pytest.approx(3.0)
 
     def test_ground_level_always_zero(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
             levels = energy_levels(float(rng.normal()), float(rng.normal()), 4)
-            assert levels[0].energy == 0.0
+            assert levels[0] == 0.0
 
     def test_anharmonicity_is_twice_kerr(self):
         # dyadic draws keep every term exactly representable, so the level
@@ -167,12 +165,8 @@ class TestSpectrum:
             omega = float(rng.integers(-32, 32)) / 8.0
             u = float(rng.integers(-32, 32)) / 8.0
             levels = energy_levels(omega, u, 2)
-            assert levels[2].energy - 2 * levels[1].energy == 2 * u
+            assert levels[2] - 2 * levels[1] == 2 * u
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValueError):
             energy_levels(1.0, 0.0, -1)
-
-    def test_energy_level_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            EnergyLevel(n=-1, energy=0.0)

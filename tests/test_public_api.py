@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "ConvergenceError",
     "DegenerateParametersError",
     "DensityMatrix",
-    "EnergyLevel",
     "FockSpace",
     "GridAxis",
     "Observables",
@@ -23,7 +22,6 @@ PUBLIC_NAMES = [
     "amplitudes_closed_form",
     "amplitudes_linear_solve",
     "annihilation",
-    "blockade_conditions",
     "build_h_eff",
     "build_h_non",
     "converged_steady_state",
@@ -32,7 +30,6 @@ PUBLIC_NAMES = [
     "interference_residual",
     "liouvillian",
     "observables",
-    "optimal_curve",
     "optimal_g",
     "preset",
     "run_sweep",

@@ -10,13 +10,15 @@ import pytest
 from helpers import force_unphysical, force_unphysical_observables, never_solve
 
 from blockade import sweep
+from blockade.analytic import optimal_g
 from blockade.model import SystemParams
-from blockade.sweep import GridAxis, optimal_curve, preset, run_sweep
+from blockade.sweep import GridAxis, preset, run_sweep
 
 PI = math.pi
 FIG1A_AXES = [("f", 0.01, 0.3, 101, None), ("g", -0.05, 0.2, 101, None)]
 
-# Every preset as (base parameters, axes as (param, min, max, count, values)).
+# Every preset as (base parameters, axes as (param, min, max, count, values)),
+# with values None for a linear axis.
 PRESET_GOLDEN = {
     "fig1a": (SystemParams(delta=0.0, u=0.5, phi=PI / 12), FIG1A_AXES),
     "fig1b": (
@@ -57,6 +59,9 @@ class TestGridAxis:
         axis = GridAxis.linear("f", 0.0, 1.0, 5)
         np.testing.assert_allclose(axis.points(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_linear_is_its_points(self):
+        assert GridAxis.linear("f", 0, 1, 3) == GridAxis("f", (0.0, 0.5, 1.0))
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             GridAxis.linear("f", 0.0, 1.0, 1)
@@ -68,7 +73,7 @@ class TestGridAxis:
     def test_rejects_linear_span_that_overflows(self):
         with pytest.raises(ValueError, match="overflows"):
             GridAxis.linear("delta", -1e308, 1e308, 3)
-        explicit = GridAxis.explicit("delta", (-1e308, 0.0, 1e308))  # no step to compute
+        explicit = GridAxis("delta", (-1e308, 0.0, 1e308))  # no step to compute
         np.testing.assert_array_equal(explicit.points(), [-1e308, 0.0, 1e308])
 
     def test_rejects_unknown_parameter(self):
@@ -76,16 +81,16 @@ class TestGridAxis:
             GridAxis.linear("kappa", 0.5, 2.0, 5)
 
     def test_explicit_values(self):
-        axis = GridAxis.explicit("g", (0.05, 0.1, 0.2))
+        axis = GridAxis("g", (0.05, 0.1, 0.2))
         assert axis.count == 3
         assert axis.min == 0.05 and axis.max == 0.2
         np.testing.assert_array_equal(axis.points(), [0.05, 0.1, 0.2])
 
     def test_explicit_values_must_increase(self):
         with pytest.raises(ValueError):
-            GridAxis.explicit("g", (0.2, 0.1))
+            GridAxis("g", (0.2, 0.1))
         with pytest.raises(ValueError):
-            GridAxis.explicit("f", (0.0, math.nan, 1.0))
+            GridAxis("f", (0.0, math.nan, 1.0))
 
 
 class TestRunSweep:
@@ -266,7 +271,10 @@ class TestPresets:
         expected_base, expected_axes = PRESET_GOLDEN[name]
         assert base == expected_base
         assert isinstance(axes, list)
-        assert [(a.param, a.min, a.max, a.count, a.values) for a in axes] == expected_axes
+        assert [(a.param, a.min, a.max, a.count) for a in axes] == [e[:4] for e in expected_axes]
+        for axis, (*_, values) in zip(axes, expected_axes):
+            if values is not None:
+                assert axis.values == values
         axes.clear()
         assert len(preset(name)[1]) == len(expected_axes)
 
@@ -281,8 +289,6 @@ class TestPresets:
         # grid steps (the curve is a weak-drive result; measured dips depart
         # from it once F grows past ~0.1), and states on the curve stay
         # sub-Poissonian through moderate drive
-        from blockade.analytic import optimal_g
-
         base, _ = preset("fig1a")
         g_axis = GridAxis.linear("g", -0.05, 0.2, 26)
         g_points = g_axis.points()
@@ -303,20 +309,14 @@ class TestPresets:
 
 class TestOptimalCurve:
     def test_parabola_coefficient(self):
-        axis = GridAxis.linear("f", 0.0, 0.3, 4)
-        curve = optimal_curve(axis, math.pi / 12, 0.0, 1.0)
         coeff = math.cos(math.pi / 6) + math.sin(math.pi / 6)
-        for f, g in curve:
-            assert g == pytest.approx(2 * f**2 * coeff, abs=1e-15)
+        for f in np.linspace(0.0, 0.3, 4).tolist():
+            assert optimal_g(f, math.pi / 12, 0.0, 1.0) == pytest.approx(2 * f**2 * coeff, abs=1e-15)
 
     def test_zero_coefficient_phase(self):
-        curve = optimal_curve(GridAxis.linear("f", 0.0, 0.3, 5), 3 * math.pi / 8, 0.0, 1.0)
-        assert all(abs(g) <= 1e-15 for _, g in curve)
+        for f in np.linspace(0.0, 0.3, 5).tolist():
+            assert abs(optimal_g(f, 3 * math.pi / 8, 0.0, 1.0)) <= 1e-15
 
     def test_half_pi_branch_is_non_positive(self):
-        curve = optimal_curve(GridAxis.linear("f", 0.0, 0.3, 5), math.pi / 2, 0.0, 1.0)
-        assert all(g <= 0 for _, g in curve)
-
-    def test_requires_drive_axis(self):
-        with pytest.raises(ValueError):
-            optimal_curve(GridAxis.linear("g", 0.0, 0.1, 5), 0.0, 0.0, 1.0)
+        for f in np.linspace(0.0, 0.3, 5).tolist():
+            assert optimal_g(f, math.pi / 2, 0.0, 1.0) <= 0
