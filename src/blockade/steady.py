@@ -14,7 +14,9 @@ unit-trace kernel vector of the Liouvillian, found by replacing row 0 (the
 rho_00 equation) of the singular system with the vectorized trace
 constraint and solving the square system with SuperLU on a layout cached
 per truncation (_system).  Truncation is controlled by re-solving at
-growing dimension until the observables stop moving on a log10 scale.
+growing dimension until the observables stop moving on a log10 scale,
+unless the first solve, at D=18, already holds a negligible share of N and
+<a'a'aa> in the number states n >= 12 that D=12 cannot represent.
 """
 
 from __future__ import annotations
@@ -39,12 +41,17 @@ PHOTON_FLOOR = 1e-12
 # declared unreliable.
 RCOND_FLOOR = 1e-14
 
+# A D=18 state whose tail share (_tail_share) is below this multiple of tol
+# is returned without the D=12 rung; see converged_steady_state.
+TAIL_SHARE_BOUND = 1e-3
+
 # Truncation ladder of converged_steady_state and its default settings,
 # which the sweep engine and the command line share.
 START_DIM = 12
 DIM_STEP = 6
 DEFAULT_MAX_DIM = 60
 DEFAULT_TOL = 1e-3
+CERTIFY_DIM = START_DIM + DIM_STEP
 
 
 class SteadyStateError(RuntimeError):
@@ -442,6 +449,27 @@ def _lg_gap(before: Observables, after: Observables) -> float:
     return gap
 
 
+def _tail_share(obs: Observables) -> float:
+    """Largest share of N = sum n P(n) and of <a'a'aa> = sum n(n-1) P(n)
+    held by the number states n >= START_DIM, which the first rung cannot
+    represent.  Tail populations count by magnitude, so solver noise never
+    lowers the share.  Needs both moments positive (obs.lg_g2 defined)."""
+    pops = np.asarray(obs.populations)
+    n = np.arange(pops.size, dtype=float)
+    return max(
+        float(np.dot(w[START_DIM:], np.abs(pops[START_DIM:])) / np.dot(w, pops))
+        for w in (n, n * (n - 1.0))
+    )
+
+
+def _rung(p: SystemParams, dim: int) -> tuple[DensityMatrix, Observables]:
+    rho = steady_state(p, FockSpace(dim))
+    try:
+        return rho, observables(rho)
+    except ValueError as exc:
+        raise SteadyStateError(f"unphysical observables at dim={dim}: {exc}") from exc
+
+
 def converged_steady_state(
     p: SystemParams,
     tol: float = DEFAULT_TOL,
@@ -455,6 +483,11 @@ def converged_steady_state(
     from the previous truncation, together with the dimension it was
     computed at.  A state with mean photon number below the division floor
     is returned immediately: higher truncations cannot populate it further.
+    One-rung rule: when max_dim >= 18, the D=18 state is solved first and
+    returned at once if lg N and lg g2 are defined and the share of N and of
+    <a'a'aa> held by its number states n >= 12 is below 1e-3 * tol (strictly,
+    so tol = 0 never accepts it); otherwise the ladder runs from 12 as above,
+    reusing that solve at its D=18 rung, with the same outcome as without it.
     Raises ConvergenceError (carrying the last two observable sets, naming
     the last dimension solved) if the ladder ends without settling, the
     guaranteed outcome of tol = 0; a NaN or negative tol is a ValueError.
@@ -475,14 +508,20 @@ def converged_steady_state(
             f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
         )
 
+    ahead = None  # the CERTIFY_DIM rung, solved before the ladder
+    if max_dim >= CERTIFY_DIM:
+        with contextlib.suppress(SteadyStateError):  # the ladder meets it on its own terms
+            ahead = _rung(p, CERTIFY_DIM)
+    if ahead is not None:
+        rho, obs = ahead
+        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+        if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
+            return rho, obs, CERTIFY_DIM
+
     previous: Observables | None = None
     before_previous: Observables | None = None
     for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        rho = steady_state(p, FockSpace(dim))
-        try:
-            obs = observables(rho)
-        except ValueError as exc:
-            raise SteadyStateError(f"unphysical observables at dim={dim}: {exc}") from exc
+        rho, obs = ahead if dim == CERTIFY_DIM and ahead is not None else _rung(p, dim)
         if obs.mean_photon < PHOTON_FLOOR:
             return rho, obs, dim
         if previous is not None and _lg_gap(previous, obs) < tol:

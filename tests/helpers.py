@@ -6,6 +6,16 @@ import numpy as np
 
 import blockade.steady
 from blockade.model import FockSpace, annihilation, build_h_eff
+from blockade.steady import (
+    DEFAULT_MAX_DIM,
+    DEFAULT_TOL,
+    DIM_STEP,
+    PHOTON_FLOOR,
+    START_DIM,
+    ConvergenceError,
+    Observables,
+    SteadyStateError,
+)
 
 
 def dense_liouvillian(params, dim):
@@ -99,3 +109,81 @@ def never_solve(monkeypatch):
         raise AssertionError(f"steady_state called at dim={space.dim}")
 
     monkeypatch.setattr(blockade.steady, "steady_state", solve)
+
+
+def reference_ladder(p, tol=DEFAULT_TOL, *, max_dim=DEFAULT_MAX_DIM):
+    """converged_steady_state as it was before the one-rung rule: the plain
+    ladder from START_DIM, every rung solved in order.  Solves and
+    observables are looked up on blockade.steady at call time, so a test's
+    monkeypatch reaches both this and the library."""
+    if max_dim < START_DIM:
+        raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    threshold = math.hypot(p.delta, 0.5 * p.kappa)
+    if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
+        raise ConvergenceError(
+            f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
+            f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
+        )
+
+    previous: Observables | None = None
+    before_previous: Observables | None = None
+    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
+        rho = blockade.steady.steady_state(p, FockSpace(dim))
+        try:
+            obs = blockade.steady.observables(rho)
+        except ValueError as exc:
+            raise SteadyStateError(f"unphysical observables at dim={dim}: {exc}") from exc
+        if obs.mean_photon < PHOTON_FLOOR:
+            return rho, obs, dim
+        if previous is not None and blockade.steady._lg_gap(previous, obs) < tol:
+            return rho, obs, dim
+        before_previous = previous
+        previous = obs
+    raise ConvergenceError(
+        f"observables not settled to tol={tol} at dim={dim}",
+        previous=before_previous,
+        last=previous,
+    )
+
+
+def exact_kerr_moments(params, orders=(1, 2)):
+    """Normally ordered moments <a'^j a^j> of the steady state at g = 0, u > 0,
+    with no truncation.
+
+    The Drummond-Walls complex-P solution (J. Phys. A 13, 725 (1980)) in
+    this model's conventions, with c = (delta - i kappa/2)/u, y = f/u and
+    x = 2 y^2:
+
+        <a'^j a^j> = y^(2j) / |(c)_j|^2 * S(c + j) / S(c),
+        S(c) = sum_k x^k / (|(c)_k|^2 k!),
+
+    (c)_k being the rising factorial.  Every term is real and positive, so
+    the series are summed in plain floats; phi drops out.  Since
+    |c + k|^2 >= (Im c)^2, the ratio of successive terms stays below 1/2
+    once k + 1 > 2 x / (Im c)^2, so the sum stops at the first term past
+    that point that no longer changes it.
+    """
+    if params.g != 0.0 or params.u <= 0.0:
+        raise ValueError("the exact solution needs g = 0 and u > 0")
+    c = complex(params.delta, -0.5 * params.kappa) / params.u
+    y = params.f / params.u
+    x = 2.0 * y * y
+    settled = 2.0 * x / c.imag**2
+
+    def series(shift):
+        total, term, k = 1.0, 1.0, 0
+        while True:
+            term *= x / (abs(c + shift + k) ** 2 * (k + 1))
+            k += 1
+            if total + term == total and k + 1 > settled:
+                return total
+            total += term
+
+    base = series(0)
+    moments = []
+    for j in orders:
+        pochhammer = math.prod(abs(c + i) ** 2 for i in range(j))
+        moments.append(y ** (2 * j) / pochhammer * series(j) / base)
+    return moments

@@ -38,15 +38,22 @@ def test_traced_names_resolve():
 def test_traced_sweep_records_rung_dims():
     tracing = load_bench("tracing")
     tracer = tracing.Tracer()
-    axes = [sweep.GridAxis.linear("delta", 0.0, 1.0, 2)]
+    # weak drive: D=18 alone; SystemParams(f=1.0) declines the one-rung
+    # rule and climbs the ladder after it
+    axes = [sweep.GridAxis("f", (0.1, 1.0)), sweep.GridAxis("delta", (0.0, 1.0))]
     with tracer.installed():
         # called through the module, as the benchmark does, so the wrapper applies
-        result = sweep.run_sweep(SystemParams(f=0.1), axes, workers=1)
-    assert [row.status for row in result.rows] == ["OK", "OK"]
-    names = {span[tracing.NAME] for span in tracer.spans}
+        result = sweep.run_sweep(SystemParams(), axes, workers=1)
+    assert [row.status for row in result.rows] == ["OK"] * 4
+    spans = tracer.spans
+    names = {span[tracing.NAME] for span in spans}
     assert {"sweep.run_sweep", "steady.steady_state", "steady.liouvillian", "steady.observables"} <= names
-    dims = sorted({span[tracing.DIM] for span in tracer.spans if span[tracing.NAME] == "steady.steady_state"})
-    assert dims == [12, 18]
+    points = [i for i, span in enumerate(spans) if span[tracing.NAME] == "steady.converged_steady_state"]
+    rungs = [
+        [span[tracing.DIM] for span in spans if span[tracing.NAME] == "steady.steady_state" and span[tracing.PARENT] == i]
+        for i in points
+    ]
+    assert rungs == [[18], [18], [18, 12, 24], [18]]
 
 
 def test_workload_inputs_build_and_map_rows_check():

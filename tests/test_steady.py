@@ -11,9 +11,11 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from helpers import (
     dense_liouvillian,
+    exact_kerr_moments,
     force_unphysical,
     force_unphysical_observables,
     never_solve,
+    reference_ladder,
     rk4_steady,
     weak_drive_draw,
 )
@@ -21,8 +23,10 @@ from helpers import (
 import blockade.steady
 from blockade.analytic import optimal_g
 from blockade.model import FockSpace, SystemParams, annihilation
+from blockade.sweep import preset
 from blockade.steady import (
     DEFAULT_MAX_DIM,
+    DEFAULT_TOL,
     ConvergenceError,
     DensityMatrix,
     SteadyStateError,
@@ -548,6 +552,144 @@ class TestConvergedSteadyState:
         never_solve(monkeypatch)
         with pytest.raises(ValueError, match="tol"):
             converged_steady_state(SystemParams(f=0.1), tol=tol)
+
+
+def ladder_outcome(solve, p, tol, max_dim):
+    """(dim, N, g2) of a converged solve, or the exception's type and message
+    (and, for ConvergenceError, the N and g2 of the two observable sets it
+    carries)."""
+    try:
+        _, obs, dim = solve(p, tol, max_dim=max_dim)
+    except Exception as exc:
+        carried = ()
+        if isinstance(exc, ConvergenceError):
+            carried = tuple(None if o is None else (o.mean_photon, o.g2) for o in (exc.previous, exc.last))
+        return type(exc), str(exc), carried
+    return dim, obs.mean_photon, obs.g2
+
+
+def record_solves(monkeypatch):
+    """Dims of every later steady_state call, in order."""
+    dims = []
+    solve = blockade.steady.steady_state
+
+    def recording(p, space):
+        dims.append(space.dim)
+        return solve(p, space)
+
+    monkeypatch.setattr(blockade.steady, "steady_state", recording)
+    return dims
+
+
+class TestOneRungRule:
+    """converged_steady_state has the plain ladder's outcome, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        delta=st.floats(-3.0, 3.0),
+        u=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        gain=st.floats(-2.0, 2.0),
+        f=st.one_of(st.just(0.0), st.floats(0.01, 3.2)),
+        phi=st.floats(0.0, 2 * math.pi),
+        tol=st.sampled_from([0.05, 1e-3, 1e-6, 1e-9]),
+        max_dim=st.sampled_from([12, 17, 18, 24, DEFAULT_MAX_DIM]),
+    )
+    def test_matches_reference_ladder(self, delta, u, gain, f, phi, tol, max_dim):
+        self.check(delta, u, gain, f, phi, tol, max_dim)
+
+    def test_matches_reference_ladder_on_uniform_draws(self):
+        # hypothesis favours the ends of each range; uniform draws also reach
+        # the interior, where strong drive makes the ladder climb past 18
+        rng = np.random.default_rng(2500)
+        for _ in range(200):
+            self.check(
+                delta=rng.uniform(-3.0, 3.0),
+                u=0.0 if rng.random() < 0.1 else rng.uniform(0.01, 5.0),
+                gain=rng.uniform(-2.0, 2.0),
+                f=0.0 if rng.random() < 0.1 else rng.uniform(0.01, 3.2),
+                phi=rng.uniform(0.0, 2 * math.pi),
+                tol=rng.choice([0.05, 1e-3, 1e-6, 1e-9]),
+                max_dim=DEFAULT_MAX_DIM,
+            )
+
+    @staticmethod
+    def check(delta, u, gain, f, phi, tol, max_dim):
+        # gain is g in units of the Kerr-free threshold |g| = sqrt(delta^2 + kappa^2/4) / 2
+        p = SystemParams(delta=delta, u=u, g=gain * 0.5 * math.hypot(delta, 0.5), f=f, phi=phi)
+        assert ladder_outcome(converged_steady_state, p, tol, max_dim) == ladder_outcome(
+            reference_ladder, p, tol, max_dim
+        )
+
+    @pytest.mark.parametrize(
+        "p, tol, max_dim, solves",
+        [
+            # a fig1a map point: D=18 alone
+            (SystemParams(u=0.5, f=0.1, phi=math.pi / 12), DEFAULT_TOL, DEFAULT_MAX_DIM, [18]),
+            # undriven: N is below the floor, so the ladder returns at 12
+            (SystemParams(u=0.4, delta=-1.0), DEFAULT_TOL, DEFAULT_MAX_DIM, [18, 12]),
+            # strong drive: the tail share is about 8e-3, so the ladder climbs
+            (SystemParams(f=1.0), DEFAULT_TOL, DEFAULT_MAX_DIM, [18, 12, 24]),
+            # tol = 0 never accepts the one rung, and the ladder never settles
+            (SystemParams(f=0.1, u=0.5), 0.0, 29, [18, 12, 24]),
+            # below D=18 there is nothing to solve ahead
+            (SystemParams(f=0.1, u=0.5), DEFAULT_TOL, 17, [12]),
+        ],
+    )
+    def test_solves_and_outcome(self, monkeypatch, p, tol, max_dim, solves):
+        expected = ladder_outcome(reference_ladder, p, tol, max_dim)
+        dims = record_solves(monkeypatch)
+        assert ladder_outcome(converged_steady_state, p, tol, max_dim) == expected
+        assert dims == solves
+
+    def test_unphysical_observables_at_first_rung(self, monkeypatch):
+        force_unphysical_observables(monkeypatch)
+        p = SystemParams(f=0.1)
+        expected = ladder_outcome(reference_ladder, p, DEFAULT_TOL, DEFAULT_MAX_DIM)
+        assert expected[0] is SteadyStateError
+        assert expected[1].startswith("unphysical observables at dim=12")
+        dims = record_solves(monkeypatch)
+        assert ladder_outcome(converged_steady_state, p, DEFAULT_TOL, DEFAULT_MAX_DIM) == expected
+        assert dims == [18, 12]
+
+
+def g0_slice(name):
+    """The G = 0 points of a preset: fig2d's detuning scans, or the fig4x
+    map's drive axis."""
+    base, axes = preset(name)
+    if name == "fig2d":
+        return [base.replace(u=u, delta=d) for u in axes[0].values for d in axes[1].values]
+    return [base.replace(g=0.0, f=f) for f in axes[0].values]
+
+
+def true_lg_error(p, obs):
+    n1, n2 = exact_kerr_moments(p)
+    return max(abs(obs.lg_n - math.log10(n1)), abs(obs.lg_g2 - math.log10(n2 / n1**2)))
+
+
+class TestExactKerrOracle:
+    @pytest.mark.parametrize(
+        "u, delta, f",
+        [(0.1, -2.0, 0.1), (0.5, -1.0, 1.0), (2.0, 0.3, 0.1), (1.0, -0.5, 1.0), (0.3, -2.0, 1.0)],
+    )
+    def test_matches_solver_at_large_truncation(self, u, delta, f):
+        p = SystemParams(u=u, delta=delta, f=f, phi=0.7)
+        n1, n2 = exact_kerr_moments(p)
+        obs = observables(steady_state(p, FockSpace(48)))
+        assert obs.mean_photon == pytest.approx(n1, rel=1e-12)
+        assert obs.g2 == pytest.approx(n2 / n1**2, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["fig2d", "fig4a", "fig4b", "fig4c", "fig4d"])
+    def test_converged_answer_within_tol_on_presets(self, name):
+        worst = max(true_lg_error(p, converged_steady_state(p)[1]) for p in g0_slice(name))
+        assert worst <= DEFAULT_TOL
+
+    def test_converged_answer_within_tol_under_strong_drive(self):
+        # photon numbers up to ~14, where the ladder climbs to D=24-36
+        for u in (0.1, 0.5):
+            for delta in (-2.0, 0.0, 1.0):
+                for f in (1.0, 2.0, 3.2):
+                    p = SystemParams(u=u, delta=delta, f=f)
+                    assert true_lg_error(p, converged_steady_state(p)[1]) <= DEFAULT_TOL
 
 
 class TestEvolutionOracle:
