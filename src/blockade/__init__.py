@@ -10,8 +10,7 @@ the optimal parametric gain) together with parameter-sweep presets.
 
 import types
 
-from .model import SystemParams, FockSpace, annihilation
-from .model import build_h_eff, build_h_non, energy_levels
+from .model import SystemParams, FockSpace, build_h_eff, energy_levels
 from .steady import (
     DensityMatrix,
     Observables,

@@ -1,4 +1,4 @@
-"""Physical parameters, the truncated Fock space, Hamiltonians and the bare spectrum.
+"""Physical parameters, the truncated Fock space, the Hamiltonian and the bare spectrum.
 
 The model is a single cavity mode in the frame rotating at the drive
 frequency: detuning delta, Kerr photon-photon interaction u, degenerate
@@ -6,8 +6,8 @@ parametric gain g, coherent drive amplitude f with phase phi, and cavity
 decay rate kappa.  All rates are quoted in units of kappa, which defaults
 to 1 so numbers can be read directly as kappa-normalized.
 
-Operators are dense complex128 arrays on the truncated Fock space, indexed
-so that the photon number n is the matrix index n.
+The Hamiltonian is a dense complex128 array on the truncated Fock space,
+indexed so that the photon number n is the matrix index n.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ class FockSpace:
             raise ValueError(f"dim must be positive, got {self.dim}")
 
 
-def annihilation(space: FockSpace) -> np.ndarray:
-    """Photon annihilation operator on the truncated space, read-only.
-
-    Entry (n-1, n) is sqrt(n) for 1 <= n <= dim-1, everything else zero.
-    """
-    a = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
-    a.setflags(write=False)
-    return a
-
-
 def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven Kerr cavity with parametric gain.
 
@@ -92,29 +82,22 @@ def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
     """
     # Every term is banded, so it is written from its diagonals rather than
     # as products of ladder operators (small dense matmuls are slow under
-    # multithreaded BLAS): a'a = diag(n), a'a'aa = diag(n(n-1)), aa has
-    # a[m, m+1] a[m+1, m+2] at (m, m+2), and a' = a.T.
-    n = np.arange(space.dim, dtype=float)
-    a = annihilation(space)
-    off = np.diag(a, k=1).real
-    aa = np.zeros((space.dim, space.dim))
-    aa[:-2, 2:] = np.diag(off[:-1] * off[1:])
-    h = np.diag(p.delta * n + p.u * n * (n - 1.0)).astype(complex)
-    h = h + 1j * p.g * (aa.T - aa)
+    # multithreaded BLAS): a'a = diag(n), a'a'aa = diag(n(n-1)), a has
+    # sqrt(m+1) at (m, m+1), aa has sqrt(m+1) sqrt(m+2) at (m, m+2), and
+    # a' = a.T.
+    d = space.dim
+    n = np.arange(d, dtype=float)
+    m = np.arange(d)
+    root = np.sqrt(n[1:])
+    h = np.zeros((d, d), dtype=complex)
+    h[m, m] = p.delta * n + p.u * n * (n - 1.0)
     drive = p.f * np.exp(1j * p.phi)
-    h = h + drive * a.T + np.conj(drive) * a
+    h[m[1:], m[:-1]] = drive * root
+    h[m[:-1], m[1:]] = np.conj(drive) * root
+    gain = 1j * p.g * (root[:-1] * root[1:])
+    h[m[2:], m[:-2]] = gain
+    h[m[:-2], m[2:]] = -gain
     return h
-
-
-def build_h_non(p: SystemParams, space: FockSpace) -> np.ndarray:
-    """Non-Hermitian Hamiltonian: build_h_eff minus i*(kappa/2) times the number operator.
-
-    Its anti-Hermitian part encodes the cavity decay; the weak-drive analytics
-    of the two-photon truncation are stationary states of this operator.
-    """
-    a = annihilation(space)
-    n_op = a.conj().T @ a
-    return build_h_eff(p, space) - 0.5j * p.kappa * n_op
 
 
 def energy_levels(omega_a: float, u: float, n_max: int) -> list[float]:

@@ -26,7 +26,7 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
@@ -106,18 +106,19 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Observables:
-    """Steady-state photon statistics.
+    """Steady-state photon statistics, all read off the number-state populations.
 
-    g2 and the log10 fields are None when undefined: g2 requires a mean
-    photon number above the division floor, and a log requires a positive
-    argument.
+    Built from the populations alone (any 1-D float array or sequence, kept
+    as a tuple of floats).  Both moments are diagonal in the number basis,
+    so N = sum n P(n) and <a'a'aa> = sum n(n-1) P(n), each floored at 0,
+    and g2 = <a'a'aa> / N^2.  g2 and the log10 properties are None when
+    undefined: g2 requires a mean photon number above the division floor,
+    and a log requires a positive argument.
     """
 
-    mean_photon: float
-    g2: float | None
-    lg_n: float | None
-    lg_g2: float | None
     populations: tuple[float, ...]
+    mean_photon: float = field(init=False)
+    g2: float | None = field(init=False)
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=float)
@@ -125,13 +126,22 @@ class Observables:
             raise ValueError("populations outside [0, 1] beyond tolerance")
         if abs(pops.sum() - 1.0) > 1e-9:
             raise ValueError(f"populations sum to {pops.sum()!r}, not 1")
-        expected_n = float(np.dot(np.arange(pops.size), pops))
-        if abs(self.mean_photon - expected_n) > 1e-9:
-            raise ValueError("mean_photon inconsistent with populations")
-        if self.mean_photon < 0:
-            raise ValueError("mean_photon must be non-negative")
-        if self.g2 is not None and self.g2 < 0:
-            raise ValueError("g2 must be non-negative when defined")
+        # on the array as passed: a contiguous copy can round differently
+        n_values = np.arange(pops.size, dtype=float)
+        mean_photon = max(float(np.dot(n_values, pops)), 0.0)
+        two_photon = max(float(np.dot(n_values * (n_values - 1.0), pops)), 0.0)
+        g2 = None if mean_photon < PHOTON_FLOOR else two_photon / mean_photon**2
+        object.__setattr__(self, "populations", tuple(float(x) for x in pops))
+        object.__setattr__(self, "mean_photon", mean_photon)
+        object.__setattr__(self, "g2", g2)
+
+    @property
+    def lg_n(self) -> float | None:
+        return None if self.mean_photon < PHOTON_FLOOR else math.log10(self.mean_photon)
+
+    @property
+    def lg_g2(self) -> float | None:
+        return math.log10(self.g2) if self.g2 is not None and self.g2 > 0 else None
 
 
 @functools.lru_cache(maxsize=16)
@@ -409,31 +419,8 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
 
 
 def observables(rho: DensityMatrix) -> Observables:
-    """Mean photon number, g2(0), their base-10 logs and the populations.
-
-    Both moments are diagonal in the number basis, so they reduce to sums
-    over the populations: N = sum n P(n) and <a'a'aa> = sum n(n-1) P(n).
-    """
-    pops = np.real(np.diag(rho.entries))
-    n_values = np.arange(rho.dim, dtype=float)
-    mean_photon = max(float(np.dot(n_values, pops)), 0.0)
-    two_photon = max(float(np.dot(n_values * (n_values - 1.0), pops)), 0.0)
-
-    if mean_photon < PHOTON_FLOOR:
-        g2 = None
-        lg_n = None
-        lg_g2 = None
-    else:
-        g2 = two_photon / mean_photon**2
-        lg_n = math.log10(mean_photon)
-        lg_g2 = math.log10(g2) if g2 > 0 else None
-    return Observables(
-        mean_photon=mean_photon,
-        g2=g2,
-        lg_n=lg_n,
-        lg_g2=lg_g2,
-        populations=tuple(float(x) for x in pops),
-    )
+    """Mean photon number, g2(0), their base-10 logs and the populations."""
+    return Observables(np.real(np.diag(rho.entries)))
 
 
 def _lg_gap(before: Observables, after: Observables) -> float:

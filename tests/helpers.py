@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 import blockade.steady
-from blockade.model import FockSpace, annihilation, build_h_eff
+from blockade.model import FockSpace, build_h_eff
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     DEFAULT_TOL,
@@ -18,6 +18,31 @@ from blockade.steady import (
 )
 
 
+def ladder(dim):
+    """Dense annihilation operator on number states 0..dim-1: sqrt(n) at (n-1, n)."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def reference_observables(rho):
+    """(mean_photon, g2, lg_n, lg_g2, populations) by the arithmetic that
+    steady.observables used before Observables derived them itself: both
+    moments are dot products over the strided diagonal view of rho."""
+    pops = np.real(np.diag(rho.entries))
+    n_values = np.arange(rho.dim, dtype=float)
+    mean_photon = max(float(np.dot(n_values, pops)), 0.0)
+    two_photon = max(float(np.dot(n_values * (n_values - 1.0), pops)), 0.0)
+
+    if mean_photon < PHOTON_FLOOR:
+        g2 = None
+        lg_n = None
+        lg_g2 = None
+    else:
+        g2 = two_photon / mean_photon**2
+        lg_n = math.log10(mean_photon)
+        lg_g2 = math.log10(g2) if g2 > 0 else None
+    return mean_photon, g2, lg_n, lg_g2, tuple(float(x) for x in pops)
+
+
 def dense_liouvillian(params, dim):
     """Dense Liouvillian written straight from the master equation,
 
@@ -26,10 +51,9 @@ def dense_liouvillian(params, dim):
     with vec(A rho B) = kron(B.T, A) vec(rho) under column stacking.  It
     shares only build_h_eff with the solver, not its sparse pattern.
     """
-    space = FockSpace(dim)
-    a = annihilation(space)
+    a = ladder(dim)
     n_op = a.conj().T @ a
-    h = build_h_eff(params, space)
+    h = build_h_eff(params, FockSpace(dim))
     eye = np.eye(dim, dtype=complex)
     unitary = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     decay = 0.5 * params.kappa * (
@@ -56,12 +80,15 @@ def rk4_steady(params, dim, t_final=None):
 
     x = np.zeros(dim * dim, dtype=complex)
     x[0] = 1.0  # vec(|0><0|)
-    for _ in range(steps):
-        k1 = gen @ x
-        k2 = gen @ (x + 0.5 * dt * k1)
-        k3 = gen @ (x + 0.5 * dt * k2)
-        k4 = gen @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # one BLAS thread: a threaded product of these sizes slows sharply
+    # while another process holds a core
+    with blockade.steady._one_blas_thread():
+        for _ in range(steps):
+            k1 = gen @ x
+            k2 = gen @ (x + 0.5 * dt * k1)
+            k3 = gen @ (x + 0.5 * dt * k2)
+            k4 = gen @ (x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     rho = x.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blockade.model import (
-    FockSpace,
-    SystemParams,
-    annihilation,
-    build_h_eff,
-    build_h_non,
-    energy_levels,
-)
+from helpers import ladder
+
+from blockade.model import FockSpace, SystemParams, build_h_eff, energy_levels
 
 
 def random_params(rng):
@@ -85,7 +80,7 @@ class TestHamiltonian:
     def test_matches_ladder_operator_products(self, dim):
         # H as written in the docstring, from products of a and a'
         space = FockSpace(dim)
-        a = annihilation(space)
+        a = ladder(dim)
         ad = a.conj().T
         rng = np.random.default_rng(dim)
         for _ in range(5):
@@ -116,30 +111,6 @@ class TestHamiltonian:
         off = h - np.diag(np.diag(h))
         rows, cols = np.nonzero(np.abs(off) > 0)
         assert np.all(np.abs(rows - cols) == 2)
-
-
-class TestNonHermitian:
-    def test_pure_decay_diagonal(self):
-        h = build_h_non(SystemParams(), FockSpace(3))
-        np.testing.assert_allclose(h, np.diag([0.0, -0.5j, -1.0j]), atol=1e-15)
-
-    def test_decay_shift_recovers_hermitian_part(self):
-        rng = np.random.default_rng(29)
-        space = FockSpace(6)
-        a = annihilation(space)
-        n_op = a.conj().T @ a
-        for _ in range(10):
-            p = random_params(rng)
-            h_non = build_h_non(p, space)
-            h_eff = build_h_eff(p, space)
-            np.testing.assert_allclose(h_non + 0.5j * p.kappa * n_op, h_eff, atol=1e-14)
-
-    def test_diagonal_imaginary_part_counts_photons(self):
-        rng = np.random.default_rng(31)
-        p = random_params(rng)
-        h = build_h_non(p, FockSpace(5))
-        for n in range(5):
-            assert h[n, n].imag == pytest.approx(-n * p.kappa / 2, abs=1e-13)
 
 
 class TestSpectrum:

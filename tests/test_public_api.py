@@ -21,9 +21,7 @@ PUBLIC_NAMES = [
     "SystemParams",
     "amplitudes_closed_form",
     "amplitudes_linear_solve",
-    "annihilation",
     "build_h_eff",
-    "build_h_non",
     "converged_steady_state",
     "energy_levels",
     "g2_analytic",

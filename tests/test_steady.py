@@ -14,21 +14,24 @@ from helpers import (
     exact_kerr_moments,
     force_unphysical,
     force_unphysical_observables,
+    ladder,
     never_solve,
     reference_ladder,
+    reference_observables,
     rk4_steady,
     weak_drive_draw,
 )
 
 import blockade.steady
 from blockade.analytic import optimal_g
-from blockade.model import FockSpace, SystemParams, annihilation
+from blockade.model import FockSpace, SystemParams
 from blockade.sweep import preset
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     DEFAULT_TOL,
     ConvergenceError,
     DensityMatrix,
+    Observables,
     SteadyStateError,
     converged_steady_state,
     liouvillian,
@@ -178,14 +181,14 @@ class TestSteadyState:
         assert obs.mean_photon == pytest.approx(0.04, abs=1e-9)
         assert obs.g2 == pytest.approx(1.0, abs=1e-3)
         alpha = -p.f / (p.delta - 0.5j * p.kappa)
-        a = annihilation(FockSpace(20))
+        a = ladder(20)
         assert np.trace(rho.entries @ a) == pytest.approx(alpha, abs=1e-9)
 
     def test_coherent_amplitude_with_phase_and_detuning(self):
         p = SystemParams(delta=0.4, f=0.08, phi=1.1)
         rho = steady_state(p, FockSpace(20))
         alpha = -p.f * np.exp(1j * p.phi) / (p.delta - 0.5j * p.kappa)
-        a = annihilation(FockSpace(20))
+        a = ladder(20)
         assert np.trace(rho.entries @ a) == pytest.approx(alpha, abs=1e-9)
         assert observables(rho).mean_photon == pytest.approx(abs(alpha) ** 2, abs=1e-9)
 
@@ -450,7 +453,36 @@ class TestInverseNormEstimate:
         assert exits == {"no better unit vector", "estimate stalled", "iteration limit", "signs repeat"}
 
 
+def random_density_matrix(rng, dim):
+    """G G' / Tr(G G') for a complex Gaussian G whose row n is scaled by
+    0.3^n, so the populations fall off like a weakly driven cavity's."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g *= (0.3 ** np.arange(dim))[:, None]
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityMatrix(dim=dim, entries=rho / np.trace(rho).real)
+
+
 class TestObservables:
+    def test_bit_identical_to_reference_arithmetic(self):
+        rng = np.random.default_rng(43)
+        states = [random_density_matrix(rng, dim) for dim in (3, 12, 18) for _ in range(100)]
+        states += [DensityMatrix(dim=3, entries=ketbra(3, 0)), DensityMatrix(dim=4, entries=ketbra(4, 1))]
+        for rho in states:
+            obs = observables(rho)
+            assert (obs.mean_photon, obs.g2, obs.lg_n, obs.lg_g2, obs.populations) == (
+                reference_observables(rho)
+            )
+        vacuum, one_photon = (observables(rho) for rho in states[-2:])
+        assert vacuum.mean_photon < 1e-12 and vacuum.g2 is None
+        assert one_photon.g2 == 0.0 and one_photon.lg_g2 is None
+
+    def test_built_from_a_sequence_of_populations(self):
+        obs = Observables([0.25, 0.5, 0.25])
+        assert obs.populations == (0.25, 0.5, 0.25)
+        assert obs.mean_photon == 1.0 and obs.g2 == 0.5
+        assert obs.lg_n == 0.0 and obs.lg_g2 == math.log10(0.5)
+
     def test_single_photon_state(self):
         obs = observables(DensityMatrix(dim=4, entries=ketbra(4, 1)))
         assert obs.mean_photon == pytest.approx(1.0)
