@@ -26,7 +26,6 @@ from .analytic import (
     DegenerateParametersError,
     SingularParametersError,
     amplitudes_closed_form,
-    amplitudes_linear_solve,
     interference_residual,
     optimal_g,
     g2_analytic,

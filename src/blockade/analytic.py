@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import SystemParams
 
 # Denominators and pivots smaller than this are treated as vanishing.
@@ -75,36 +73,6 @@ def amplitudes_closed_form(p: SystemParams) -> AmplitudeSet:
     if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
         raise DegenerateParametersError("amplitudes overflow double precision at these parameters")
     return AmplitudeSet(c1=c1, c2=c2)
-
-
-def amplitudes_linear_solve(p: SystemParams) -> AmplitudeSet:
-    """Steady truncated amplitudes by solving the 2x2 stationarity system directly.
-
-    With C0 = 1, stationarity of C1 and C2 under the non-Hermitian
-    Hamiltonian reads
-
-      F e^{i phi}            + (delta - i kappa/2) C1 + sqrt(2) F e^{-i phi} C2 = 0
-      i sqrt(2) G + sqrt(2) F e^{i phi} C1 + (2 delta - i kappa + 2 u) C2       = 0
-
-    Kept deliberately independent of the closed forms so the two routes
-    cross-check each other.
-    """
-    phase = cmath.exp(1j * p.phi)
-    matrix = np.array(
-        [
-            [p.delta - 0.5j * p.kappa, math.sqrt(2.0) * p.f / phase],
-            [math.sqrt(2.0) * p.f * phase, 2.0 * p.delta - 1j * p.kappa + 2.0 * p.u],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-p.f * phase, -1j * math.sqrt(2.0) * p.g], dtype=complex)
-    det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
-    if abs(det) <= DEGENERACY_FLOOR:
-        raise DegenerateParametersError(
-            f"truncated amplitude system is singular (|det| = {abs(det):.3e})"
-        )
-    c1, c2 = np.linalg.solve(matrix, rhs)
-    return AmplitudeSet(c1=complex(c1), c2=complex(c2))
 
 
 def interference_residual(p: SystemParams) -> complex:

@@ -30,16 +30,43 @@ from .sweep import GridAxis, SweepResult, preset, run_sweep
 
 PARAM_FIELDS = tuple(field.name for field in fields(SystemParams))
 
-_DEFAULTS = {
-    **asdict(SystemParams()),
-    "tol": DEFAULT_TOL,
-    "max_dim": DEFAULT_MAX_DIM,
-    "format": "csv",
-    "omega_a": 0.0,
-    "n_max": 5,
-    "preset": None,
-    "axis": None,
-    "output": None,
+FORMATS = ("csv", "json")
+
+# Every flag and config field: name -> (type, default, flag help).  The flag
+# is --name with "-" for "_"; an axis is a list of axis strings.
+_FIELDS = {
+    **{name: (float, value, f"{name} (units of kappa)") for name, value in asdict(SystemParams()).items()},
+    "tol": (float, DEFAULT_TOL, "convergence tolerance on lg N, lg g2"),
+    "max_dim": (int, DEFAULT_MAX_DIM, "largest truncation dimension"),
+    "format": (str, "csv", "output format"),
+    "omega_a": (float, 0.0, "bare mode frequency"),
+    "n_max": (int, 5, "highest photon number"),
+    "preset": (str, None, "figure preset id, e.g. fig1a"),
+    "axis": (list, None, "sweep axis, linear 'param:min:max:count' or explicit 'param:v1,v2,v3'; repeatable"),
+    "output": (str, None, "output file (default: stdout)"),
+}
+
+# Subcommand -> (summary, its fields in flag order); each also takes --config.
+_COMMANDS = {
+    "solve": ("converged steady-state observables at one point", PARAM_FIELDS + ("tol", "max_dim")),
+    "analytic": ("two-photon truncated amplitudes and conditions", PARAM_FIELDS),
+    "optimal": ("optimal parametric gain for blockade", ("delta", "f", "phi", "kappa")),
+    "spectrum": ("bare Kerr-shifted energy levels", ("u", "omega_a", "n_max")),
+    "sweep": (
+        "grid evaluation over one or two parameters",
+        PARAM_FIELDS + ("preset", "axis", "tol", "max_dim", "output", "format"),
+    ),
+}
+
+# Field type -> (test of a config value, what the value must be).
+_CONFIG_TYPES = {
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a string or list of strings",
+    ),
 }
 
 
@@ -73,49 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Steady-state photon statistics of a driven Kerr cavity with parametric gain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_param_flags(p, names=PARAM_FIELDS):
+    for command, (summary, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         for name in names:
-            p.add_argument(f"--{name}", type=float, default=None, help=f"{name} (units of kappa)")
-
-    def add_common(p):
-        p.add_argument("--config", default=None, help="JSON config file, field names as flags")
-
-    p_solve = sub.add_parser("solve", help="converged steady-state observables at one point")
-    add_param_flags(p_solve)
-    p_solve.add_argument("--tol", type=float, default=None, help="convergence tolerance on lg N, lg g2")
-    p_solve.add_argument("--max-dim", type=int, default=None, help="largest truncation dimension")
-    add_common(p_solve)
-
-    p_analytic = sub.add_parser("analytic", help="two-photon truncated amplitudes and conditions")
-    add_param_flags(p_analytic)
-    add_common(p_analytic)
-
-    p_optimal = sub.add_parser("optimal", help="optimal parametric gain for blockade")
-    add_param_flags(p_optimal, names=("delta", "f", "phi", "kappa"))
-    add_common(p_optimal)
-
-    p_spectrum = sub.add_parser("spectrum", help="bare Kerr-shifted energy levels")
-    p_spectrum.add_argument("--u", type=float, default=None, help="Kerr strength")
-    p_spectrum.add_argument("--omega-a", type=float, default=None, help="bare mode frequency")
-    p_spectrum.add_argument("--n-max", type=int, default=None, help="highest photon number")
-    add_common(p_spectrum)
-
-    p_sweep = sub.add_parser("sweep", help="grid evaluation over one or two parameters")
-    add_param_flags(p_sweep)
-    p_sweep.add_argument("--preset", default=None, help="figure preset id, e.g. fig1a")
-    p_sweep.add_argument(
-        "--axis",
-        action="append",
-        default=None,
-        metavar="PARAM:MIN:MAX:COUNT",
-        help="sweep axis, linear 'param:min:max:count' or explicit 'param:v1,v2,v3'; repeatable",
-    )
-    p_sweep.add_argument("--tol", type=float, default=None)
-    p_sweep.add_argument("--max-dim", type=int, default=None)
-    p_sweep.add_argument("--output", default=None, help="output file (default: stdout)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    add_common(p_sweep)
+            kind, _, text = _FIELDS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is list:
+                p.add_argument(flag, action="append", metavar="PARAM:MIN:MAX:COUNT", help=text)
+            else:
+                p.add_argument(flag, type=kind, choices=FORMATS if name == "format" else None, help=text)
+        p.add_argument("--config", help="JSON config file, field names as flags")
     return parser
 
 
@@ -136,22 +130,13 @@ def parse_axis(text: str) -> GridAxis:
 
 def _check_config_types(config: dict) -> None:
     for key, value in config.items():
-        if key not in _DEFAULTS:
+        if key not in _FIELDS:
             raise CliUsageError(f"unknown config field {key!r}")
-        if key in ("preset", "output", "format"):
-            if not isinstance(value, str):
-                raise CliUsageError(f"config field {key!r} must be a string")
-        elif key == "axis":
-            if isinstance(value, str):
-                continue
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise CliUsageError("config field 'axis' must be a string or list of strings")
-        elif key in ("max_dim", "n_max"):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise CliUsageError(f"config field {key!r} must be an integer")
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise CliUsageError(f"config field {key!r} must be a number")
+        kind = _FIELDS[key][0]
+        accepts, noun = _CONFIG_TYPES[kind]
+        if not accepts(value):
+            raise CliUsageError(f"config field {key!r} must be {noun}")
+        if kind is float:
             try:
                 float(value)
             except OverflowError as exc:
@@ -182,16 +167,20 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
             raise CliUsageError("config file must hold a JSON object")
         _check_config_types(config)
 
-    flags = {k: v for k, v in vars(namespace).items() if k in _DEFAULTS and v is not None}
+    flags = {k: v for k, v in vars(namespace).items() if k in _FIELDS and v is not None}
     given = {**config, **flags}
-    values = {**_DEFAULTS, **given}
+    values = {**{name: row[1] for name, row in _FIELDS.items()}, **given}
+    preset_id = values["preset"]
+    base, preset_axes = SystemParams(), None
     try:
-        params = SystemParams(**{name: values[name] for name in PARAM_FIELDS})
+        if preset_id is not None and namespace.command == "sweep":
+            base, preset_axes = preset(preset_id)
+        params = base.replace(**{name: given[name] for name in PARAM_FIELDS if name in given})
     except (TypeError, ValueError) as exc:
         raise CliUsageError(str(exc)) from exc
 
-    if values["format"] not in ("csv", "json"):
-        raise CliUsageError(f"format must be csv or json, got {values['format']!r}")
+    if values["format"] not in FORMATS:
+        raise CliUsageError(f"format must be {' or '.join(FORMATS)}, got {values['format']!r}")
 
     axes = None
     axis_spec = values["axis"]
@@ -202,7 +191,6 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if not 1 <= len(axes) <= 2:
             raise CliUsageError(f"expected one or two axes, got {len(axes)}")
 
-    preset_id = values["preset"]
     if namespace.command == "sweep":
         if preset_id is None and axes is None:
             raise CliUsageError("sweep needs --preset or at least one --axis")
@@ -212,20 +200,11 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if preset_id is not None:
             raise CliUsageError(f"{namespace.command} does not accept a preset")
 
-    if preset_id is not None:
-        try:
-            base, preset_axes = preset(preset_id)
-        except ValueError as exc:
-            raise CliUsageError(str(exc)) from exc
-        params = base.replace(**{name: given[name] for name in PARAM_FIELDS if name in given})
-        if axes is None:
-            axes = preset_axes
-
     return RunConfig(
         command=namespace.command,
         params=params,
         preset=preset_id,
-        axes=axes,
+        axes=preset_axes if axes is None else axes,
         output_path=values["output"],
         format=values["format"],
         tol=float(values["tol"]),
@@ -239,8 +218,6 @@ def format_value(x) -> str:
     """17-significant-digit float formatting; the undefined marker is NA."""
     if x is None:
         return "NA"
-    if isinstance(x, int):
-        return str(x)
     return format(float(x), ".17g")
 
 

@@ -122,7 +122,7 @@ class Observables:
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=float)
-        if np.any(pops < -1e-10) or np.any(pops > 1 + 1e-10):
+        if not np.all((pops >= -1e-10) & (pops <= 1 + 1e-10)):  # NaN fails too
             raise ValueError("populations outside [0, 1] beyond tolerance")
         if abs(pops.sum() - 1.0) > 1e-9:
             raise ValueError(f"populations sum to {pops.sum()!r}, not 1")
@@ -495,20 +495,18 @@ def converged_steady_state(
             f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
         )
 
-    ahead = None  # the CERTIFY_DIM rung, solved before the ladder
+    rung = functools.cache(functools.partial(_rung, p))  # a failed rung is not kept
     if max_dim >= CERTIFY_DIM:
         with contextlib.suppress(SteadyStateError):  # the ladder meets it on its own terms
-            ahead = _rung(p, CERTIFY_DIM)
-    if ahead is not None:
-        rho, obs = ahead
-        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-        if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
-            return rho, obs, CERTIFY_DIM
+            rho, obs = rung(CERTIFY_DIM)
+            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+            if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
+                return rho, obs, CERTIFY_DIM
 
     previous: Observables | None = None
     before_previous: Observables | None = None
     for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        rho, obs = ahead if dim == CERTIFY_DIM and ahead is not None else _rung(p, dim)
+        rho, obs = rung(dim)
         if obs.mean_photon < PHOTON_FLOOR:
             return rho, obs, dim
         if previous is not None and _lg_gap(previous, obs) < tol:

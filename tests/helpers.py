@@ -1,11 +1,14 @@
 """Shared test oracles, kept deliberately independent of the solver internals."""
 
+import cmath
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import blockade.steady
-from blockade.model import FockSpace, build_h_eff
+from blockade.analytic import DEGENERACY_FLOOR, AmplitudeSet, DegenerateParametersError
+from blockade.model import FockSpace, SystemParams, build_h_eff
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     DEFAULT_TOL,
@@ -41,6 +44,36 @@ def reference_observables(rho):
         lg_n = math.log10(mean_photon)
         lg_g2 = math.log10(g2) if g2 > 0 else None
     return mean_photon, g2, lg_n, lg_g2, tuple(float(x) for x in pops)
+
+
+def amplitudes_linear_solve(p):
+    """Steady truncated amplitudes by solving the 2x2 stationarity system directly.
+
+    With C0 = 1, stationarity of C1 and C2 under the non-Hermitian
+    Hamiltonian reads
+
+      F e^{i phi}            + (delta - i kappa/2) C1 + sqrt(2) F e^{-i phi} C2 = 0
+      i sqrt(2) G + sqrt(2) F e^{i phi} C1 + (2 delta - i kappa + 2 u) C2       = 0
+
+    Kept deliberately independent of the closed forms in blockade.analytic,
+    so the two routes cross-check each other.
+    """
+    phase = cmath.exp(1j * p.phi)
+    matrix = np.array(
+        [
+            [p.delta - 0.5j * p.kappa, math.sqrt(2.0) * p.f / phase],
+            [math.sqrt(2.0) * p.f * phase, 2.0 * p.delta - 1j * p.kappa + 2.0 * p.u],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array([-p.f * phase, -1j * math.sqrt(2.0) * p.g], dtype=complex)
+    det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
+    if abs(det) <= DEGENERACY_FLOOR:
+        raise DegenerateParametersError(
+            f"truncated amplitude system is singular (|det| = {abs(det):.3e})"
+        )
+    c1, c2 = np.linalg.solve(matrix, rhs)
+    return AmplitudeSet(c1=complex(c1), c2=complex(c2))
 
 
 def dense_liouvillian(params, dim):
@@ -95,17 +128,24 @@ def rk4_steady(params, dim, t_final=None):
     return rho / np.trace(rho).real
 
 
-def weak_drive_draw(rng):
-    """Random parameters in the weak-drive regime used by the evolution oracle."""
-    from blockade.model import SystemParams
+# The weak-drive regime used by the evolution oracle: parameter -> range.
+WEAK_DRIVE = {
+    "delta": (-1.0, 1.0),
+    "u": (0.0, 1.0),
+    "g": (-0.05, 0.05),
+    "f": (0.01, 0.1),
+    "phi": (0.0, 2 * math.pi),
+}
 
-    return SystemParams(
-        delta=float(rng.uniform(-1, 1)),
-        u=float(rng.uniform(0, 1)),
-        g=float(rng.uniform(-0.05, 0.05)),
-        f=float(rng.uniform(0.01, 0.1)),
-        phi=float(rng.uniform(0, 2 * math.pi)),
-    )
+# The same ranges as a hypothesis strategy.
+weak_drive_params = st.builds(
+    SystemParams, **{name: st.floats(lo, hi) for name, (lo, hi) in WEAK_DRIVE.items()}
+)
+
+
+def weak_drive_draw(rng):
+    """Random parameters in the weak-drive regime, drawn uniformly from rng."""
+    return SystemParams(**{name: float(rng.uniform(lo, hi)) for name, (lo, hi) in WEAK_DRIVE.items()})
 
 
 def force_unphysical(monkeypatch):

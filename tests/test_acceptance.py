@@ -10,11 +10,10 @@ import time
 
 import numpy as np
 
-from helpers import rk4_steady, weak_drive_draw
+from helpers import amplitudes_linear_solve, rk4_steady, weak_drive_draw
 
 from blockade.analytic import (
     amplitudes_closed_form,
-    amplitudes_linear_solve,
     g2_analytic,
     interference_residual,
     optimal_g,

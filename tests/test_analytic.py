@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import amplitudes_linear_solve
+
 from blockade.analytic import (
     AmplitudeSet,
     DegenerateParametersError,
     SingularParametersError,
     amplitudes_closed_form,
-    amplitudes_linear_solve,
     g2_analytic,
     interference_residual,
     optimal_g,

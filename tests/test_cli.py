@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -116,6 +117,45 @@ class TestParseAxis:
     def test_malformed(self, text):
         with pytest.raises(CliUsageError):
             parse_axis(text)
+
+
+def subcommand_flags() -> dict:
+    """Subcommand -> the option strings its parser accepts, without --help."""
+    parser = blockade.cli._build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+class TestFieldTables:
+    """The parser and the config check are both driven by _FIELDS and _COMMANDS."""
+
+    WRONG_TYPED = {float: "0.1", int: 12.0, str: 1, list: ["f:0:1:3", 2]}
+
+    def test_each_parser_has_its_fields_and_config(self):
+        flags = subcommand_flags()
+        assert sorted(flags) == sorted(blockade.cli._COMMANDS)
+        for command, (_, names) in blockade.cli._COMMANDS.items():
+            assert flags[command] == {"--" + name.replace("_", "-") for name in names} | {"--config"}
+
+    def test_every_field_is_a_flag(self):
+        flags = set().union(*subcommand_flags().values())
+        for name in blockade.cli._FIELDS:
+            assert "--" + name.replace("_", "-") in flags
+
+    @pytest.mark.parametrize("name", sorted(blockade.cli._FIELDS))
+    def test_wrong_typed_config_value_is_usage_error(self, name):
+        kind = blockade.cli._FIELDS[name][0]
+        config = json.dumps({name: self.WRONG_TYPED[kind]})
+        with pytest.raises(CliUsageError, match=f"config field '{name}' must be"):
+            parse_config(["solve"], config_text=config)
+        with pytest.raises(CliUsageError, match=f"config field '{name}' must be"):
+            parse_config(["solve"], config_text=json.dumps({name: True}))
+
+    def test_format_value_prints_small_ints_as_integers(self):
+        assert [format_value(n) for n in (0, 12, 60, -3)] == ["0", "12", "60", "-3"]
 
 
 class TestExitCodes:

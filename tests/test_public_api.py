@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "SweepRow",
     "SystemParams",
     "amplitudes_closed_form",
-    "amplitudes_linear_solve",
     "build_h_eff",
     "converged_steady_state",
     "energy_levels",

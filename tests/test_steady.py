@@ -20,6 +20,7 @@ from helpers import (
     reference_observables,
     rk4_steady,
     weak_drive_draw,
+    weak_drive_params,
 )
 
 import blockade.steady
@@ -506,6 +507,13 @@ class TestObservables:
         with pytest.raises(ValueError, match="populations"):
             observables(rho)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_population_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="populations outside"):
+            Observables([bad, 0.5])
+        with pytest.raises(ValueError, match="populations outside"):
+            Observables([0.5, 0.5, bad])
+
     def test_populations_sum_to_one(self):
         rho = steady_state(SystemParams(f=0.2, u=0.3), FockSpace(14))
         obs = observables(rho)
@@ -682,6 +690,52 @@ class TestOneRungRule:
         dims = record_solves(monkeypatch)
         assert ladder_outcome(converged_steady_state, p, DEFAULT_TOL, DEFAULT_MAX_DIM) == expected
         assert dims == [18, 12]
+
+
+def symmetric_partners(p):
+    """Three maps of the parameters that preserve photon number, so each
+    leaves the populations unchanged at every truncation: a -> -a,
+    a -> i a, and complex conjugation with H -> -H*."""
+    return [
+        p.replace(phi=p.phi + math.pi),
+        p.replace(g=-p.g, phi=p.phi - math.pi / 2),
+        p.replace(delta=-p.delta, u=-p.u, phi=math.pi - p.phi),
+    ]
+
+
+def converged_outcome(p):
+    """(dim, N, g2) of converged_steady_state, or the exception type."""
+    try:
+        _, obs, dim = converged_steady_state(p)
+    except SteadyStateError as exc:
+        return type(exc)
+    return dim, obs.mean_photon, obs.g2
+
+
+class TestExactSymmetries:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(p=weak_drive_params, dim=st.integers(3, 24))
+    def test_populations_invariant_at_fixed_truncation(self, p, dim):
+        # to 1e-12 of the unit trace: the far tail sits at solver noise
+        reference = observables(steady_state(p, FockSpace(dim))).populations
+        for partner in symmetric_partners(p):
+            populations = observables(steady_state(partner, FockSpace(dim))).populations
+            np.testing.assert_allclose(populations, reference, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(p=weak_drive_params)
+    def test_converged_outcome_invariant(self, p):
+        reference = converged_outcome(p)
+        for partner in symmetric_partners(p):
+            outcome = converged_outcome(partner)
+            if isinstance(reference, type):
+                assert outcome is reference
+                continue
+            assert outcome[0] == reference[0]
+            assert outcome[1] == pytest.approx(reference[1], rel=1e-12)
+            assert (outcome[2] is None) == (reference[2] is None)
+            if reference[2] is not None:
+                assert outcome[2] == pytest.approx(reference[2], rel=1e-12)
 
 
 def g0_slice(name):

@@ -278,6 +278,19 @@ class TestPresets:
         axes.clear()
         assert len(preset(name)[1]) == len(expected_axes)
 
+    def test_fig1b_half_turn_of_phi_is_the_same_physics(self):
+        # phi -> phi + pi maps a -> -a; on a 3-point cut of the gain axis,
+        # phi rows k and k + 50 of the 101-point 0..2 pi grid must agree
+        base, (g_axis, phi_axis) = preset("fig1b")
+        cut = GridAxis("g", g_axis.values[::50])
+        rows = run_sweep(base, [cut, phi_axis], workers=1).rows
+        for start in range(0, len(rows), phi_axis.count):
+            for k in range(51):
+                a, b = rows[start + k], rows[start + k + 50]
+                assert a.dim == b.dim
+                assert a.n_mean == pytest.approx(b.n_mean, rel=1e-12)
+                assert a.g2 == pytest.approx(b.g2, rel=1e-12)
+
     def test_unknown_preset_lists_valid_ids(self):
         valid = ", ".join(PRESET_GOLDEN)
         with pytest.raises(ValueError, match=re.escape(f"unknown preset 'fig9z'; valid ids: {valid}")):
