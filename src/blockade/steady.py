@@ -13,7 +13,7 @@ the data, which is affine in H and kappa.  The steady state is the
 unit-trace kernel vector of the Liouvillian, found by replacing row 0 (the
 rho_00 equation) of the singular system with the vectorized trace
 constraint and solving the square system with SuperLU on a layout cached
-per truncation (_system).  Truncation is controlled by re-solving at
+per truncation (_layout).  Truncation is controlled by re-solving at
 growing dimension until the observables stop moving on a log10 scale,
 unless the first solve, at D=18, already holds a negligible share of N and
 <a'a'aa> in the number states n >= 12 that D=12 cannot represent.
@@ -145,14 +145,30 @@ class Observables:
 
 
 @functools.lru_cache(maxsize=16)
-def _pattern(d: int):
-    """Index pattern of the Liouvillian at truncation d, shared by every point.
+def _layout(d: int):
+    """Index layout of L and of the trace-constrained system at truncation d.
 
-    Returns (indices, indptr, h_to_data, decay): the CSR index arrays of L
-    (sorted, no duplicates, every diagonal entry stored), the sparse map
-    from the row-major ravel of H to the data of -i[H, .], and the data of
-    the damping superoperator per unit kappa.  H couples number states at
-    most two apart (a'a', aa), so only that band of H is read.
+    Shared by every point.  H couples number states at most two apart (a'a',
+    aa), so only that band of H is read.  The system A is L with row 0 (the
+    rho_00 equation) swapped for the trace functional, so its layout is
+    cached per truncation: for d >= 4 row 0 has the smallest sup norm of L,
+    max(kappa, F, sqrt(2)|G|), which every other row's jump or diagonal,
+    drive and gain entries reach.  A is stored as P A P^T, with P the
+    symmetric minimum-degree ordering of A + A^T (SuperLU's "symmetric
+    mode"), which fills far less than a fresh COLAMD ordering per call.
+    The ordering is computed from the pattern alone (a probe with unit
+    entries and a dominant diagonal), so it does not depend on which point
+    is solved first.
+
+    Returns (indices, indptr, h_to_data, decay, order, take, sys_indices,
+    sys_indptr, rhs): the CSR index arrays of L (sorted, no duplicates,
+    every diagonal entry stored); the sparse map from the row-major ravel
+    of H to the data of -i[H, .]; the data of the damping superoperator per
+    unit kappa; the ordering, so that P A P^T = A[order][:, order]; the
+    gather `take`, which reads that matrix's data from np.append(L.data,
+    1.0), whose trailing 1 fills every trace-row entry; its CSC index
+    arrays; and the right-hand side P e_0, the trace row's 1.  All but
+    h_to_data are read-only.
     """
     n = np.arange(d)
     ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
@@ -182,31 +198,7 @@ def _pattern(d: int):
         (h_coeff, (slot[: h_rows.size], h_source)), shape=(keys.size, size)
     )
     decay = np.bincount(slot[h_rows.size :], weights=decay_values, minlength=keys.size)
-    for array in (indices, indptr, decay):
-        array.setflags(write=False)
-    return indices, indptr, h_to_data, decay
 
-
-@functools.lru_cache(maxsize=16)
-def _system(d: int):
-    """Layout of the trace-constrained system at truncation d, shared by every point.
-
-    The system A is L with trace row 0 (the rho_00 equation) swapped for the
-    trace functional, so the layout is cached per truncation: for d >= 4 row
-    0 has the smallest sup norm of L, max(kappa, F, sqrt(2)|G|), which every
-    other row's jump or diagonal, drive and gain entries reach.  A is stored
-    as P A P^T, with P the symmetric minimum-degree ordering of A + A^T
-    (SuperLU's "symmetric mode"), which fills far less than a fresh COLAMD
-    ordering per call.  Returns (order, take, indices, indptr): the
-    ordering, so that P A P^T = A[order][:, order]; the CSC index arrays of
-    that matrix; and the gather `take`, which reads its data from
-    np.append(L.data, 1.0), whose trailing 1 fills every trace-row entry.
-    The ordering is computed from the pattern alone (a probe with unit
-    entries and a dominant diagonal), so it does not depend on which point
-    is solved first.
-    """
-    indices, indptr, _, _ = _pattern(d)
-    size = d * d
     first = indptr[1]  # row 0's entries, which the trace row replaces, come first
     rows = np.concatenate([np.repeat(np.arange(1, size), np.diff(indptr[1:])), np.zeros(d, int)])
     cols = np.concatenate([indices[first:], np.arange(d) * (d + 1)])  # vec index of rho[n, n]
@@ -227,9 +219,10 @@ def _system(d: int):
     take = source[sort]
     sys_indices = sys_rows[sort].astype(np.int32)
     sys_indptr = np.searchsorted(sys_cols[sort], np.arange(size + 1)).astype(np.int32)
-    for array in (order, take, sys_indices, sys_indptr):
+    rhs = (order == 0).astype(complex)
+    for array in (indices, indptr, decay, order, take, sys_indices, sys_indptr, rhs):
         array.setflags(write=False)
-    return order, take, sys_indices, sys_indptr
+    return indices, indptr, h_to_data, decay, order, take, sys_indices, sys_indptr, rhs
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -335,7 +328,7 @@ def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
     call at the same truncation.
     """
     d = space.dim
-    indices, indptr, h_to_data, decay = _pattern(d)
+    indices, indptr, h_to_data, decay, *_ = _layout(d)
     data = h_to_data @ build_h_eff(p, space).ravel() + p.kappa * decay
     return csr_array((data, indices, indptr), shape=(d * d, d * d))
 
@@ -361,14 +354,13 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     size = d * d
 
     # every row stores its diagonal entry, so no row of the pattern is empty
-    abs_data = np.abs(data)
-    scale = float(np.max(np.add.reduceat(abs_data, indptr[:-1])))  # ||L||_inf
+    scale = float(np.max(np.add.reduceat(np.abs(data), indptr[:-1])))  # ||L||_inf
     if not math.isfinite(scale):
         raise SteadyStateError(
             f"steady-state system at dim={d} overflows double precision; "
             f"try smaller parameters"
         )
-    order, take, sys_indices, sys_indptr = _system(d)
+    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d)
     sys_data = np.append(data, 1.0)[take]
     # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
     # small populations of a graded state accurate (g2 to ~1e-15 where A^T
@@ -393,7 +385,7 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
             ) from exc
         # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
         # inverse); every column holds an entry of H's band, so none is empty
-        anorm = float(np.max(np.add.reduceat(np.append(abs_data, 1.0)[take], sys_indptr[:-1])))
+        anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
         rcond = 1.0 / (anorm * _inverse_norm_estimate(lu, size))
         if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
             raise SteadyStateError(
@@ -401,7 +393,7 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
                 f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
             )
         vec = np.empty(size, dtype=complex)
-        vec[order] = lu.solve((order == 0).astype(complex))
+        vec[order] = lu.solve(rhs)
 
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
@@ -474,7 +466,8 @@ def converged_steady_state(
     returned at once if lg N and lg g2 are defined and the share of N and of
     <a'a'aa> held by its number states n >= 12 is below 1e-3 * tol (strictly,
     so tol = 0 never accepts it); otherwise the ladder runs from 12 as above,
-    reusing that solve at its D=18 rung, with the same outcome as without it.
+    reusing that solve or its failure at its D=18 rung, with the same outcome
+    as without it.
     Raises ConvergenceError (carrying the last two observable sets, naming
     the last dimension solved) if the ladder ends without settling, the
     guaranteed outcome of tol = 0; a NaN or negative tol is a ValueError.
@@ -497,11 +490,17 @@ def converged_steady_state(
 
     rung = functools.cache(functools.partial(_rung, p))  # a failed rung is not kept
     if max_dim >= CERTIFY_DIM:
-        with contextlib.suppress(SteadyStateError):  # the ladder meets it on its own terms
+        try:
             rho, obs = rung(CERTIFY_DIM)
-            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-            if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
-                return rho, obs, CERTIFY_DIM
+        except SteadyStateError:
+            # the ladder stops at rung 12 or meets this failure at D=18 (not kept: a cycle)
+            rho, obs = rung(START_DIM)
+            if obs.mean_photon < PHOTON_FLOOR:
+                return rho, obs, START_DIM
+            raise
+        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+        if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
+            return rho, obs, CERTIFY_DIM
 
     previous: Observables | None = None
     before_previous: Observables | None = None

@@ -278,15 +278,18 @@ class TestPresets:
         axes.clear()
         assert len(preset(name)[1]) == len(expected_axes)
 
-    def test_fig1b_half_turn_of_phi_is_the_same_physics(self):
-        # phi -> phi + pi maps a -> -a; on a 3-point cut of the gain axis,
-        # phi rows k and k + 50 of the 101-point 0..2 pi grid must agree
-        base, (g_axis, phi_axis) = preset("fig1b")
-        cut = GridAxis("g", g_axis.values[::50])
+    @pytest.mark.parametrize("name, g_stride", [("fig1b", 50), ("fig2b", 2)])
+    def test_half_turn_of_phi_is_the_same_physics(self, name, g_stride):
+        # phi -> phi + pi maps a -> -a; on a cut of the gain axis (fig1b:
+        # -0.05, 0, 0.05; fig2b: 0.05, 0.2), phi rows k and k + half_turn of
+        # the full turn 0..2 pi or -pi..pi must agree
+        base, (g_axis, phi_axis) = preset(name)
+        cut = GridAxis("g", g_axis.values[::g_stride])
         rows = run_sweep(base, [cut, phi_axis], workers=1).rows
+        half_turn = (phi_axis.count - 1) // 2
         for start in range(0, len(rows), phi_axis.count):
-            for k in range(51):
-                a, b = rows[start + k], rows[start + k + 50]
+            for k in range(half_turn + 1):
+                a, b = rows[start + k], rows[start + k + half_turn]
                 assert a.dim == b.dim
                 assert a.n_mean == pytest.approx(b.n_mean, rel=1e-12)
                 assert a.g2 == pytest.approx(b.g2, rel=1e-12)
