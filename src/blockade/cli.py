@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .analytic import (
     DegenerateParametersError,
@@ -76,7 +76,7 @@ class CliUsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation.
+    """Fully resolved invocation; each field after axes is the _FIELDS entry of that name.
 
     For a preset sweep, params is the preset's base with the explicitly set
     knobs applied, and axes are the preset's unless axes were given.
@@ -84,9 +84,9 @@ class RunConfig:
 
     command: str
     params: SystemParams
-    preset: str | None
     axes: list[GridAxis] | None
-    output_path: str | None
+    preset: str | None
+    output: str | None
     format: str
     tol: float
     max_dim: int
@@ -200,17 +200,12 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if preset_id is not None:
             raise CliUsageError(f"{namespace.command} does not accept a preset")
 
+    options = {f.name: values[f.name] for f in fields(RunConfig) if f.name in _FIELDS}
     return RunConfig(
         command=namespace.command,
         params=params,
-        preset=preset_id,
         axes=preset_axes if axes is None else axes,
-        output_path=values["output"],
-        format=values["format"],
-        tol=float(values["tol"]),
-        max_dim=int(values["max_dim"]),
-        omega_a=float(values["omega_a"]),
-        n_max=int(values["n_max"]),
+        **{name: None if v is None else _FIELDS[name][0](v) for name, v in options.items()},
     )
 
 
@@ -225,28 +220,17 @@ def _format_complex(z: complex) -> str:
     return f"{format_value(z.real)}{'+' if z.imag >= 0 else '-'}{format_value(abs(z.imag))}j"
 
 
-CSV_HEADER = (
-    "axis1_name,axis1_value,axis2_name,axis2_value,"
-    "delta,u,g,f,phi,kappa,dim,n_mean,g2,lg_n,lg_g2,status"
-)
+# A sweep row's columns: its axes, every parameter, then SweepRow attributes.
+_COLUMNS = ("axis1_name", "axis1_value", "axis2_name", "axis2_value", *PARAM_FIELDS,
+            "dim", "n_mean", "g2", "lg_n", "lg_g2", "status")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _row_record(row, axes) -> dict:
     names = [axis.param for axis in axes] + [None]
     params = {name: getattr(row.params, name) for name in PARAM_FIELDS}
-    return {
-        "axis1_name": names[0],
-        "axis1_value": params[names[0]],
-        "axis2_name": names[1],
-        "axis2_value": params.get(names[1]),
-        **params,
-        "dim": row.dim,
-        "n_mean": row.n_mean,
-        "g2": row.g2,
-        "lg_n": row.lg_n,
-        "lg_g2": row.lg_g2,
-        "status": row.status,
-    }
+    cells = (names[0], params[names[0]], names[1], params.get(names[1]), *params.values())
+    return dict(zip(_COLUMNS, (*cells, *(getattr(row, name) for name in _COLUMNS[len(cells):]))))
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -318,12 +302,13 @@ def execute(cfg: RunConfig) -> int:
         # work, and emptied only once the grid is solved, so a sweep that
         # fails on the way leaves an existing file as it was
         try:
-            sink = nullcontext(out) if cfg.output_path is None else open(cfg.output_path, "a", encoding="utf-8")
+            sink = nullcontext(out) if cfg.output is None else open(cfg.output, "a", encoding="utf-8")
         except OSError as exc:
             print(f"cannot write output: {exc}", file=err)
             return 1
         with sink as handle:
-            result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim, preset_name=cfg.preset)
+            result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim)
+            result = replace(result, metadata={"preset": cfg.preset, **result.metadata})
             try:
                 if handle is not out:
                     handle.truncate(0)

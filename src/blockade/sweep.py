@@ -143,14 +143,13 @@ def run_sweep(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
     workers: int | None = None,
-    preset_name: str | None = None,
 ) -> SweepResult:
     """Evaluate converged steady-state observables over a 1-D or 2-D grid.
 
     Each grid point overrides base with the axis values and solves at
     growing truncation; rows where the solver fails are marked FAIL instead
     of aborting the sweep.  Rows come back in row-major (axis1, axis2)
-    order regardless of worker count.
+    order regardless of worker count; the CLI adds the metadata's preset id.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -179,7 +178,6 @@ def run_sweep(
 
     dims_used = sorted({row.dim for row in rows if row.dim is not None})
     metadata = {
-        "preset": preset_name,
         "tol": tol,
         "max_dim": max_dim,
         "dims_used": dims_used,

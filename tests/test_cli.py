@@ -387,7 +387,7 @@ class TestSpectrumCommand:
 def small_result():
     base = SystemParams(u=0.5, phi=math.pi / 12)
     axes = [GridAxis.linear("f", 0.05, 0.15, 3), GridAxis.linear("g", 0.0, 0.02, 2)]
-    return run_sweep(base, axes, workers=1, preset_name=None)
+    return run_sweep(base, axes, workers=1)
 
 
 class TestSerialization:
