@@ -166,9 +166,8 @@ def _layout(d: int):
     of H to the data of -i[H, .]; the data of the damping superoperator per
     unit kappa; the ordering, so that P A P^T = A[order][:, order]; the
     gather `take`, which reads that matrix's data from np.append(L.data,
-    1.0), whose trailing 1 fills every trace-row entry; its CSC index
-    arrays; and the right-hand side P e_0, the trace row's 1.  All but
-    h_to_data are read-only.
+    kappa), whose trailing kappa fills every trace-row entry; its CSC index
+    arrays; and the right-hand side P e_0.  All but h_to_data are read-only.
     """
     n = np.arange(d)
     ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
@@ -337,13 +336,14 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     """Unique steady state of the master equation at fixed truncation.
 
     Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
-    the vectorized trace functional, pinning Tr rho = 1, and the square
-    system A is solved by sparse LU (SuperLU) while every OpenBLAS in the
-    process is held to one thread (counts restored on return).  A system
-    that overflows double precision, an exactly singular factor, or a
-    reciprocal 1-norm condition estimate below 1e-14 raises SteadyStateError
-    rather than returning digits that are mostly noise, as does a residual
-    above 1e-9 ||L||_inf or an unphysical DensityMatrix.
+    the vectorized trace functional times kappa, so that A scales with the
+    rates and no guard depends on the unit of time, and the square system A
+    is solved by sparse LU (SuperLU) while every OpenBLAS in the process is
+    held to one thread (counts restored on return).  A system that
+    overflows double precision, an exactly singular factor, or a reciprocal
+    1-norm condition estimate below 1e-14 raises SteadyStateError rather
+    than returning digits that are mostly noise, as does a residual above
+    1e-9 ||L||_inf or an unphysical DensityMatrix.
     """
     d = space.dim
     if d < 3:
@@ -361,7 +361,9 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
             f"try smaller parameters"
         )
     *_, order, take, sys_indices, sys_indptr, rhs = _layout(d)
-    sys_data = np.append(data, 1.0)[take]
+    # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
+    # the small populations of graded states off: fig4d's weak-drive g2 by 4e-7
+    sys_data = np.append(data, p.kappa)[take]
     # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
     # small populations of a graded state accurate (g2 to ~1e-15 where A^T
     # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot

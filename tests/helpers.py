@@ -157,6 +157,19 @@ def force_unphysical(monkeypatch):
     monkeypatch.setattr(blockade.steady, "DensityMatrix", reject)
 
 
+def fail_at(monkeypatch, dim):
+    """Make the steady_state call at truncation dim raise SteadyStateError;
+    calls at every other truncation solve as before."""
+    solve = blockade.steady.steady_state
+
+    def failing(p, space):
+        if space.dim == dim:
+            raise SteadyStateError(f"steady-state system too ill-conditioned at dim={dim}: forced")
+        return solve(p, space)
+
+    monkeypatch.setattr(blockade.steady, "steady_state", failing)
+
+
 def force_unphysical_observables(monkeypatch):
     """Make every steady_state return a state that DensityMatrix accepts but
     Observables rejects: a population of -5e-9 is inside the eigenvalue

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from helpers import (
     dense_liouvillian,
     exact_kerr_moments,
+    fail_at,
     force_unphysical,
     force_unphysical_observables,
     ladder,
@@ -679,8 +680,6 @@ class TestOneRungRule:
             (SystemParams(f=0.1, u=0.5), 0.0, 29, [18, 12, 24]),
             # below D=18 there is nothing to solve ahead
             (SystemParams(f=0.1, u=0.5), DEFAULT_TOL, 17, [12]),
-            # D=18 fails ahead (rcond about 5e-15) and is not solved again
-            (SystemParams(kappa=1e12, f=1e11, u=5e11), DEFAULT_TOL, 24, [18, 12]),
         ],
     )
     def test_solves_and_outcome(self, monkeypatch, p, tol, max_dim, solves):
@@ -689,14 +688,30 @@ class TestOneRungRule:
         assert ladder_outcome(converged_steady_state, p, tol, max_dim) == expected
         assert dims == solves
 
-    def test_failed_rung_leaves_no_reference_cycle(self):
+    def test_failed_look_ahead_is_not_solved_again(self, monkeypatch):
+        # D=18 fails ahead, and that failure is raised at the ladder's D=18 rung;
+        # the failure is forced, as no point found fails at D=18 and solves at 12
+        fail_at(monkeypatch, 18)
+        p = SystemParams(f=0.1, u=0.5)
+        expected = ladder_outcome(reference_ladder, p, DEFAULT_TOL, 24)
+        assert expected[0] is SteadyStateError
+        dims = record_solves(monkeypatch)
+        assert ladder_outcome(converged_steady_state, p, DEFAULT_TOL, 24) == expected
+        assert dims == [18, 12]
+
+    def test_failed_rung_leaves_no_reference_cycle(self, monkeypatch):
         # an exception kept past its raise cycles through its traceback's
-        # frames, which hold the failed rung's factor until a collection
+        # frames, which would hold a failed rung's factor until a collection
+        fail_at(monkeypatch, 18)
         gc.collect()
         gc.disable()
         try:
-            with contextlib.suppress(SteadyStateError):
-                converged_steady_state(SystemParams(kappa=1e12, f=1e11, u=5e11), max_dim=24)
+            try:
+                converged_steady_state(SystemParams(f=0.1, u=0.5), max_dim=24)
+            except SteadyStateError:
+                pass
+            else:
+                pytest.fail("the forced D=18 failure was not raised")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -732,6 +747,17 @@ def converged_outcome(p):
     return dim, obs.mean_photon, obs.g2
 
 
+def assert_unit_free(p, s):
+    """Scaling every rate by s is a change of time unit (L -> s L keeps its
+    kernel), so the converged dim, N and g2 must not move."""
+    _, reference, dim = converged_steady_state(p)
+    scaled = p.replace(kappa=s * p.kappa, delta=s * p.delta, u=s * p.u, g=s * p.g, f=s * p.f)
+    _, obs, scaled_dim = converged_steady_state(scaled)
+    assert scaled_dim == dim
+    assert obs.mean_photon == pytest.approx(reference.mean_photon, rel=1e-12)
+    assert obs.g2 == pytest.approx(reference.g2, rel=1e-12)
+
+
 class TestExactSymmetries:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(p=weak_drive_params, dim=st.integers(3, 24))
@@ -757,27 +783,15 @@ class TestExactSymmetries:
             if reference[2] is not None:
                 assert outcome[2] == pytest.approx(reference[2], rel=1e-12)
 
-    # The rcond guard is not unit-free (ROADMAP item 2): with the trace row
-    # unweighted, g2 loses digits at s = 1e-8 and D=18 fails the rcond floor
-    # at s = 1e12 (rcond about 5e-15).
-    @pytest.mark.parametrize(
-        "s",
-        [
-            pytest.param(1e-8, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
-            1e4,
-            1e8,
-            pytest.param(1e12, marks=pytest.mark.xfail(raises=SteadyStateError, strict=True)),
-        ],
-    )
+    @pytest.mark.parametrize("s", [1e-8, 1e4, 1e8, 1e12])
     def test_converged_outcome_invariant_under_a_change_of_units(self, s):
-        # scaling every rate by s is a change of time unit: L -> s L keeps its kernel
         for p in (SystemParams(u=0.5, f=0.1), SystemParams(delta=0.3, u=0.5, g=0.05, f=0.1, phi=0.7)):
-            _, reference, dim = converged_steady_state(p)
-            scaled = p.replace(kappa=s * p.kappa, delta=s * p.delta, u=s * p.u, g=s * p.g, f=s * p.f)
-            _, obs, scaled_dim = converged_steady_state(scaled)
-            assert scaled_dim == dim
-            assert obs.mean_photon == pytest.approx(reference.mean_photon, rel=1e-12)
-            assert obs.g2 == pytest.approx(reference.g2, rel=1e-12)
+            assert_unit_free(p, s)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(p=weak_drive_params, s=st.sampled_from([1e-8, 1e12]))
+    def test_weak_drive_outcome_invariant_under_a_change_of_units(self, p, s):
+        assert_unit_free(p, s)
 
 
 def g0_slice(name):
@@ -810,6 +824,16 @@ class TestExactKerrOracle:
     def test_converged_answer_within_tol_on_presets(self, name):
         worst = max(true_lg_error(p, converged_steady_state(p)[1]) for p in g0_slice(name))
         assert worst <= DEFAULT_TOL
+
+    def test_graded_weak_drive_states_to_machine_precision(self):
+        # at U = 5 and weak drive, P(2) falls to ~1e-9 of P(0), so g2 rests on
+        # the solve's smallest digits; a trace row weighted by mean |L_ij|
+        # instead of kappa put g2 4e-7 off here
+        for p in g0_slice("fig4d"):
+            _, obs, _ = converged_steady_state(p)
+            n1, n2 = exact_kerr_moments(p)
+            assert obs.mean_photon == pytest.approx(n1, rel=1e-13)
+            assert obs.g2 == pytest.approx(n2 / n1**2, rel=1e-13)
 
     def test_converged_answer_within_tol_under_strong_drive(self):
         # photon numbers up to ~14, where the ladder climbs to D=24-36

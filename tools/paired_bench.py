@@ -4,7 +4,8 @@
     python3 tools/paired_bench.py --ref HEAD --workload map_serial --pairs 10
 
 Exports the ref's committed files into a temporary directory with
-`git archive` (removed on exit; no worktree is registered), then runs
+`git archive` (removed on exit, SIGTERM included; no worktree is
+registered), then runs
 `bench/run.py --workload W --seed S --seconds T --trace 0` alternately
 there and in the working tree, N pairs, alternating which side runs first.
 Each side runs its own bench/run.py on its own src/.  Prints every pair's
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -79,7 +81,14 @@ def export(ref: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
+def exit_on_sigterm() -> None:
+    """Turn SIGTERM into SystemExit, so that a tool stopped by it still
+    removes its temporary export and subprocess.run kills the running child."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def main(argv=None) -> int:
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
     parser.add_argument("--workload", default="map_serial")

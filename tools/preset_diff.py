@@ -4,7 +4,7 @@
     python3 tools/preset_diff.py --ref HEAD
 
 Exports the ref's committed files into a temporary directory with
-paired_bench.export (removed on exit), then runs
+paired_bench.export (removed on exit, SIGTERM included), then runs
 `blockade sweep --preset P --format F` for every preset P and F in
 (csv, json), once on each tree's own src/.  Prints one line per preset and
 format: "identical" when the two outputs are byte-identical (JSON apart
@@ -27,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from paired_bench import ROOT, export
+from paired_bench import ROOT, exit_on_sigterm, export
 
 sys.path.insert(0, str(ROOT / "src"))
 from blockade.sweep import _PRESETS  # noqa: E402  the working tree's preset table
@@ -84,6 +84,7 @@ def sweep(tree: Path, name: str, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
     args = parser.parse_args(argv)
