@@ -25,8 +25,8 @@ from .analytic import (
     optimal_g,
 )
 from .model import SystemParams, energy_levels
-from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
-from .sweep import GridAxis, SweepResult, preset, run_sweep
+from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, check_ladder, converged_steady_state
+from .sweep import GridAxis, SweepResult, _resolve_workers, preset, run_sweep
 
 PARAM_FIELDS = tuple(field.name for field in fields(SystemParams))
 
@@ -194,11 +194,32 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     if namespace.command == "sweep":
         if preset_id is None and axes is None:
             raise CliUsageError("sweep needs --preset or at least one --axis")
+        swept = preset_axes if axes is None else axes
+        if len(swept) == 2 and swept[0].param == swept[1].param:
+            raise CliUsageError(f"axes must sweep distinct parameters, both are {swept[0].param!r}")
     else:
         if axes is not None:
             raise CliUsageError(f"{namespace.command} does not accept axes")
         if preset_id is not None:
             raise CliUsageError(f"{namespace.command} does not accept a preset")
+
+    # Everything execute would reject is rejected here, before any output is
+    # written: the ladder settings, the spectrum length, every grid point
+    # (each parameter's valid set is an interval, so an axis's ends decide)
+    # and the sweep's worker count.
+    names = _COMMANDS[namespace.command][1]
+    try:
+        if "tol" in names:
+            check_ladder(values["tol"], values["max_dim"])
+        if "n_max" in names and values["n_max"] < 0:
+            raise ValueError(f"n_max must be a non-negative integer, got {values['n_max']!r}")
+        if namespace.command == "sweep":
+            for axis in swept:
+                for value in (axis.min, axis.max):
+                    params.replace(**{axis.param: value})
+            _resolve_workers(None)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
 
     options = {f.name: values[f.name] for f in fields(RunConfig) if f.name in _FIELDS}
     return RunConfig(
@@ -253,76 +274,72 @@ def execute(cfg: RunConfig) -> int:
     """Run the resolved command; returns the process exit code."""
     out = sys.stdout
     err = sys.stderr
-    try:
-        if cfg.command == "solve":
-            try:
-                _, obs, dim = converged_steady_state(cfg.params, cfg.tol, max_dim=cfg.max_dim)
-            except SteadyStateError as exc:
-                print(f"solver failure: {exc}", file=err)
-                return 1
-            print(f"n_mean = {format_value(obs.mean_photon)}", file=out)
-            print(f"g2 = {format_value(obs.g2)}", file=out)
-            print(f"lg_n = {format_value(obs.lg_n)}", file=out)
-            print(f"lg_g2 = {format_value(obs.lg_g2)}", file=out)
-            print(f"dim = {dim}", file=out)
-            print("populations = " + ",".join(format_value(p) for p in obs.populations), file=out)
-            return 0
-
-        if cfg.command == "analytic":
-            try:
-                amps = amplitudes_closed_form(cfg.params)
-                residual = interference_residual(cfg.params)
-            except DegenerateParametersError as exc:
-                print(f"degenerate parameters: {exc}", file=err)
-                return 2
-            print(f"c1 = {_format_complex(amps.c1)}", file=out)
-            print(f"c2 = {_format_complex(amps.c2)}", file=out)
-            print(f"g2_analytic = {format_value(g2_analytic(amps))}", file=out)
-            print(f"real_residual = {format_value(residual.real)}", file=out)
-            print(f"imag_residual = {format_value(residual.imag)}", file=out)
-            return 0
-
-        if cfg.command == "optimal":
-            p = cfg.params
-            try:
-                g_star = optimal_g(p.f, p.phi, p.delta, p.kappa)
-            except SingularParametersError as exc:
-                print(f"singular parameters: {exc}", file=err)
-                return 2
-            print(f"g_opt = {format_value(g_star)}", file=out)
-            return 0
-
-        if cfg.command == "spectrum":
-            print("n,energy", file=out)
-            for n, energy in enumerate(energy_levels(cfg.omega_a, cfg.params.u, cfg.n_max)):
-                print(f"{n},{format_value(energy)}", file=out)
-            return 0
-
-        # sweep: the output is opened before solving, so a bad path costs no
-        # work, and emptied only once the grid is solved, so a sweep that
-        # fails on the way leaves an existing file as it was
+    if cfg.command == "solve":
         try:
-            sink = nullcontext(out) if cfg.output is None else open(cfg.output, "a", encoding="utf-8")
+            _, obs, dim = converged_steady_state(cfg.params, cfg.tol, max_dim=cfg.max_dim)
+        except SteadyStateError as exc:
+            print(f"solver failure: {exc}", file=err)
+            return 1
+        print(f"n_mean = {format_value(obs.mean_photon)}", file=out)
+        print(f"g2 = {format_value(obs.g2)}", file=out)
+        print(f"lg_n = {format_value(obs.lg_n)}", file=out)
+        print(f"lg_g2 = {format_value(obs.lg_g2)}", file=out)
+        print(f"dim = {dim}", file=out)
+        print("populations = " + ",".join(format_value(p) for p in obs.populations), file=out)
+        return 0
+
+    if cfg.command == "analytic":
+        try:
+            amps = amplitudes_closed_form(cfg.params)
+            residual = interference_residual(cfg.params)
+        except DegenerateParametersError as exc:
+            print(f"degenerate parameters: {exc}", file=err)
+            return 2
+        print(f"c1 = {_format_complex(amps.c1)}", file=out)
+        print(f"c2 = {_format_complex(amps.c2)}", file=out)
+        print(f"g2_analytic = {format_value(g2_analytic(amps))}", file=out)
+        print(f"real_residual = {format_value(residual.real)}", file=out)
+        print(f"imag_residual = {format_value(residual.imag)}", file=out)
+        return 0
+
+    if cfg.command == "optimal":
+        p = cfg.params
+        try:
+            g_star = optimal_g(p.f, p.phi, p.delta, p.kappa)
+        except SingularParametersError as exc:
+            print(f"singular parameters: {exc}", file=err)
+            return 2
+        print(f"g_opt = {format_value(g_star)}", file=out)
+        return 0
+
+    if cfg.command == "spectrum":
+        print("n,energy", file=out)
+        for n, energy in enumerate(energy_levels(cfg.omega_a, cfg.params.u, cfg.n_max)):
+            print(f"{n},{format_value(energy)}", file=out)
+        return 0
+
+    # sweep: the output is opened before solving, so a bad path costs no
+    # work, and emptied only once the grid is solved, so a sweep that
+    # fails on the way leaves an existing file as it was
+    try:
+        sink = nullcontext(out) if cfg.output is None else open(cfg.output, "a", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=err)
+        return 1
+    with sink as handle:
+        result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim)
+        result = replace(result, metadata={"preset": cfg.preset, **result.metadata})
+        try:
+            if handle is not out:
+                handle.truncate(0)
+            handle.write(sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result))
+            handle.flush()
+        except BrokenPipeError:
+            raise  # reported by main, as for every command
         except OSError as exc:
             print(f"cannot write output: {exc}", file=err)
             return 1
-        with sink as handle:
-            result = run_sweep(cfg.params, cfg.axes, cfg.tol, max_dim=cfg.max_dim)
-            result = replace(result, metadata={"preset": cfg.preset, **result.metadata})
-            try:
-                if handle is not out:
-                    handle.truncate(0)
-                handle.write(sweep_to_csv(result) if cfg.format == "csv" else sweep_to_json(result))
-                handle.flush()
-            except BrokenPipeError:
-                raise  # reported by main, as for every command
-            except OSError as exc:
-                print(f"cannot write output: {exc}", file=err)
-                return 1
-        return 0
-    except (ValueError, TypeError) as exc:
-        print(f"usage error: {exc}", file=err)
-        return 2
+    return 0
 
 
 def main(argv=None) -> int:

@@ -74,30 +74,39 @@ class FockSpace:
             raise ValueError(f"dim must be positive, got {self.dim}")
 
 
+def h_eff_stack(points, dim: int) -> np.ndarray:
+    """build_h_eff for each of the points, as one (B, dim, dim) array.
+
+    Every term is banded, so H is written from its diagonals rather than as
+    products of ladder operators (small dense matmuls are slow under
+    multithreaded BLAS): a'a = diag(n), a'a'aa = diag(n(n-1)), a has
+    sqrt(m+1) at (m, m+1), aa has sqrt(m+1) sqrt(m+2) at (m, m+2), and
+    a' = a.T.
+    """
+    delta, u, g, f, phi = (
+        np.array([getattr(p, name) for p in points])[:, None] for name in ("delta", "u", "g", "f", "phi")
+    )
+    n = np.arange(dim, dtype=float)
+    m = np.arange(dim)
+    root = np.sqrt(n[1:])
+    h = np.zeros((len(points), dim, dim), dtype=complex)
+    h[:, m, m] = delta * n + u * n * (n - 1.0)
+    drive = f * np.exp(1j * phi)
+    h[:, m[1:], m[:-1]] = drive * root
+    h[:, m[:-1], m[1:]] = np.conj(drive) * root
+    gain = 1j * g * (root[:-1] * root[1:])
+    h[:, m[2:], m[:-2]] = gain
+    h[:, m[:-2], m[2:]] = -gain
+    return h
+
+
 def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven Kerr cavity with parametric gain.
 
     H = delta a'a + u a'a'aa + i g (a'a' - aa) + f (a' e^{i phi} + a e^{-i phi})
     with a' the creation operator.  Hermitian by construction.
     """
-    # Every term is banded, so it is written from its diagonals rather than
-    # as products of ladder operators (small dense matmuls are slow under
-    # multithreaded BLAS): a'a = diag(n), a'a'aa = diag(n(n-1)), a has
-    # sqrt(m+1) at (m, m+1), aa has sqrt(m+1) sqrt(m+2) at (m, m+2), and
-    # a' = a.T.
-    d = space.dim
-    n = np.arange(d, dtype=float)
-    m = np.arange(d)
-    root = np.sqrt(n[1:])
-    h = np.zeros((d, d), dtype=complex)
-    h[m, m] = p.delta * n + p.u * n * (n - 1.0)
-    drive = p.f * np.exp(1j * p.phi)
-    h[m[1:], m[:-1]] = drive * root
-    h[m[:-1], m[1:]] = np.conj(drive) * root
-    gain = 1j * p.g * (root[:-1] * root[1:])
-    h[m[2:], m[:-2]] = gain
-    h[m[:-2], m[2:]] = -gain
-    return h
+    return h_eff_stack([p], space.dim)[0]
 
 
 def energy_levels(omega_a: float, u: float, n_max: int) -> list[float]:

@@ -17,6 +17,16 @@ per truncation (_layout).  Truncation is controlled by re-solving at
 growing dimension until the observables stop moving on a log10 scale,
 unless the first solve, at D=18, already holds a negligible share of N and
 <a'a'aa> in the number states n >= 12 that D=12 cannot represent.
+
+Every solve goes through one batch engine (converge_batch): up to BATCH
+points climb their ladders together, and the points waiting for the same
+truncation are solved as one batch (_rung).  A batch fills the data of all
+its Liouvillians in one sparse product and makes its norms, residuals,
+physicality checks, observables and tail shares as stack operations; only
+the SuperLU factor, its condition estimate and the answer's solve are made
+point by point.  A point leaves its batch once its outcome is known, and
+every outcome is the same, bit for bit, whatever else shares the batch;
+converged_steady_state and steady_state are the one-point cases.
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
-from .model import FockSpace, SystemParams, build_h_eff
+# build_h_eff is not called here; bench/tracing.py looks it up on this module.
+from .model import FockSpace, SystemParams, build_h_eff, h_eff_stack  # noqa: F401
 
 # Below this mean photon number, g2 is a 0/0 ratio and reported undefined.
 PHOTON_FLOOR = 1e-12
@@ -52,6 +63,10 @@ DIM_STEP = 6
 DEFAULT_MAX_DIM = 60
 DEFAULT_TOL = 1e-3
 CERTIFY_DIM = START_DIM + DIM_STEP
+
+# Most points converge_batch solves together.  Batches of 8, 12 and 16 map
+# points solved equally fast per point; the batch's arrays grow with it.
+BATCH = 8
 
 
 class SteadyStateError(RuntimeError):
@@ -73,6 +88,15 @@ class ConvergenceError(SteadyStateError):
         self.last = last
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, made without
+    its __post_init__: for values a batch has already checked."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Physical density matrix: Hermitian, unit trace, positive semidefinite.
@@ -89,19 +113,40 @@ class DensityMatrix:
         entries = np.array(self.entries, dtype=complex)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
-        herm_defect = np.max(np.abs(entries - entries.conj().T))
-        if herm_defect > 1e-10:
-            raise ValueError(f"not Hermitian: max |rho - rho'| = {herm_defect:.3e}")
-        trace_defect = abs(np.trace(entries) - 1.0)
-        if trace_defect > 1e-10:
-            raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(entries)[0])
-        if min_eig < -1e-8:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        (defect,) = _unphysical(entries[None])
+        if defect is not None:
+            raise ValueError(defect)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+
+def _unphysical(stack: np.ndarray) -> list[str | None]:
+    """Why each matrix of the (B, d, d) stack is no DensityMatrix, or None.
+
+    The checks run in DensityMatrix's order (finite, Hermitian, unit trace,
+    smallest eigenvalue), each matrix failing at its first; one eigvalsh
+    call covers every matrix that reaches the last.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail first
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    spectral = finite & (herm <= 1e-10) & (trace <= 1e-10)
+    min_eig = np.zeros(len(stack))
+    min_eig[spectral] = np.linalg.eigvalsh(stack[spectral])[:, 0]
+    defects = []
+    for ok, herm_defect, trace_defect, eig in zip(finite, herm, trace, min_eig):
+        if not ok:
+            defects.append("entries must be finite")
+        elif herm_defect > 1e-10:
+            defects.append(f"not Hermitian: max |rho - rho'| = {herm_defect:.3e}")
+        elif trace_defect > 1e-10:
+            defects.append(f"trace differs from 1 by {trace_defect:.3e}")
+        elif eig < -1e-8:
+            defects.append(f"not positive semidefinite: min eigenvalue {eig:.3e}")
+        else:
+            defects.append(None)
+    return defects
 
 
 @dataclass(frozen=True)
@@ -121,19 +166,11 @@ class Observables:
     g2: float | None = field(init=False)
 
     def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=float)
-        if not np.all((pops >= -1e-10) & (pops <= 1 + 1e-10)):  # NaN fails too
-            raise ValueError("populations outside [0, 1] beyond tolerance")
-        if abs(pops.sum() - 1.0) > 1e-9:
-            raise ValueError(f"populations sum to {pops.sum()!r}, not 1")
-        # on the array as passed: a contiguous copy can round differently
-        n_values = np.arange(pops.size, dtype=float)
-        mean_photon = max(float(np.dot(n_values, pops)), 0.0)
-        two_photon = max(float(np.dot(n_values * (n_values - 1.0), pops)), 0.0)
-        g2 = None if mean_photon < PHOTON_FLOOR else two_photon / mean_photon**2
-        object.__setattr__(self, "populations", tuple(float(x) for x in pops))
-        object.__setattr__(self, "mean_photon", mean_photon)
-        object.__setattr__(self, "g2", g2)
+        (checked,) = _observables(np.asarray(self.populations, dtype=float)[None])
+        if isinstance(checked, ValueError):
+            raise checked
+        for name in ("populations", "mean_photon", "g2"):
+            object.__setattr__(self, name, getattr(checked, name))
 
     @property
     def lg_n(self) -> float | None:
@@ -142,6 +179,36 @@ class Observables:
     @property
     def lg_g2(self) -> float | None:
         return math.log10(self.g2) if self.g2 is not None and self.g2 > 0 else None
+
+
+def _row_dots(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The dot product of each row with weights, rounded as np.dot(row,
+    weights) rounds it: a stack of vector products, which a matrix-vector
+    product is not."""
+    return (rows[:, None, :] @ weights[:, None])[:, 0, 0]
+
+
+def _observables(pops: np.ndarray) -> list:
+    """Observables of each row of the (B, n) populations, or the ValueError
+    that rejects the row (unraised)."""
+    n_values = np.arange(pops.shape[1], dtype=float)
+    in_range = ((pops >= -1e-10) & (pops <= 1 + 1e-10)).all(axis=1)  # NaN fails too
+    totals = pops.sum(axis=1)
+    # on the rows as passed: a contiguous copy can round differently
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows are out of range
+        means = _row_dots(pops, n_values).tolist()
+        two_photon = _row_dots(pops, n_values * (n_values - 1.0)).tolist()
+    out = []
+    for row, ok, total, mean, two in zip(pops.tolist(), in_range, totals, means, two_photon):
+        if not ok:
+            out.append(ValueError("populations outside [0, 1] beyond tolerance"))
+        elif abs(total - 1.0) > 1e-9:
+            out.append(ValueError(f"populations sum to {total!r}, not 1"))
+        else:
+            mean, two = max(mean, 0.0), max(two, 0.0)
+            g2 = None if mean < PHOTON_FLOOR else two / mean**2
+            out.append(_trusted(Observables, populations=tuple(row), mean_photon=mean, g2=g2))
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -320,6 +387,18 @@ def _one_blas_thread():
                 set_(count)
 
 
+def _liouvillian_data(points, d: int) -> np.ndarray:
+    """The data of L for each of the points, a (B, nnz) array in the CSR
+    order of _layout(d): one sparse product for the stack of Hamiltonians,
+    plus kappa times the damping."""
+    _, _, h_to_data, decay, *_ = _layout(d)
+    h_stack = h_eff_stack(points, d).reshape(len(points), d * d)
+    data = np.empty((len(points), decay.size), dtype=complex)
+    np.multiply.outer([p.kappa for p in points], decay, out=data)
+    data += (h_to_data @ h_stack.T).T
+    return data
+
+
 def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
     """Generator L with vec(drho/dt) = L vec(rho) under column stacking.
 
@@ -327,9 +406,129 @@ def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
     call at the same truncation.
     """
     d = space.dim
-    indices, indptr, h_to_data, decay, *_ = _layout(d)
-    data = h_to_data @ build_h_eff(p, space).ravel() + p.kappa * decay
+    indices, indptr, *_ = _layout(d)
+    (data,) = _liouvillian_data([p], d)
     return csr_array((data, indices, indptr), shape=(d * d, d * d))
+
+
+def _failure(message: str, cause: Exception | None = None) -> SteadyStateError:
+    """A point's SteadyStateError, made but not raised, with a cause whose
+    traceback is dropped: a traceback would hold the batch's frame, its
+    factors and the error itself in a reference cycle."""
+    error = SteadyStateError(message)
+    if cause is not None:
+        error.__cause__ = cause.with_traceback(None)
+    return error
+
+
+def _factor_and_solve(data: np.ndarray, kappa: list, scale: list, d: int):
+    """Solve the trace-constrained system of each row of L data (CSR order
+    of _layout(d)) one by one, on one system matrix whose data is swapped.
+
+    Returns (errors, vecs): per row None, or the SteadyStateError that
+    rejects it (unraised), and the unnormalised vec(rho) of each solved row.
+    """
+    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d)
+    size = d * d
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
+        # the small populations of graded states off: fig4d's weak-drive g2 by 4e-7
+        sys_data = data.take(take, axis=1, mode="clip")
+        sys_data[:, take == data.shape[1]] = np.array(kappa)[:, None]  # index nnz: kappa
+        # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
+        # inverse); every column holds an entry of H's band, so none is empty
+        anorm = np.add.reduceat(np.abs(sys_data), sys_indptr[:-1], axis=1).max(axis=1).tolist()
+
+    # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
+    # small populations of a graded state accurate (g2 to ~1e-15 where A^T
+    # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
+    # wherever it is within a factor 100 of its column's largest candidate.
+    # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
+    # default merges larger ones) keeps the fill and saves 15-30% of the
+    # factor time up to D=36.  Panels of one column: a wider panel buys
+    # BLAS-3 reuse only across wide supernodes, which these never are, and
+    # its work arrays cost ~100 page faults per call on the hot path.
+    errors: list = [None] * len(data)
+    vecs = np.zeros((len(data), size), dtype=complex)
+    system = csc_array((sys_data[0], sys_indices, sys_indptr), shape=(size, size))
+    # one BLAS thread: see _openblas_thread_controls
+    with _one_blas_thread():
+        for i, row in enumerate(sys_data):
+            if not math.isfinite(scale[i]):
+                errors[i] = _failure(
+                    f"steady-state system at dim={d} overflows double precision; "
+                    f"try smaller parameters"
+                )
+                continue
+            system.data = row
+            try:
+                lu = splu(
+                    system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4, panel_size=1
+                )
+            except RuntimeError as exc:
+                errors[i] = _failure(
+                    f"singular steady-state system at dim={d}; try a larger truncation "
+                    f"or different parameters ({exc})",
+                    exc,
+                )
+                continue
+            rcond = 1.0 / (anorm[i] * _inverse_norm_estimate(lu, size))
+            if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+                errors[i] = _failure(
+                    f"steady-state system too ill-conditioned at dim={d} "
+                    f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
+                )
+                continue
+            vecs[i, order] = lu.solve(rhs)
+    return errors, vecs
+
+
+def _residuals(data: np.ndarray, rho: np.ndarray) -> list[float]:
+    """max |L vec(rho)| for each row of L data and matrix of the rho stack."""
+    d = rho.shape[1]
+    indices, indptr, *_ = _layout(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its checks
+        products = rho.transpose(0, 2, 1).reshape(len(rho), d * d).take(indices, axis=1)
+        products *= data  # each L entry times the vec(rho) entry it multiplies
+        return np.abs(np.add.reduceat(products, indptr[:-1], axis=1)).max(axis=1).tolist()
+
+
+def _solve_states(points, dim: int) -> list:
+    """The steady state of each of the points at truncation dim: a
+    DensityMatrix, or the SteadyStateError that rejects it (unraised).
+
+    The batch's Liouvillian data, norms, residuals and physicality checks
+    are stack operations; only the factor, its condition estimate and the
+    answer's solve are made point by point (_factor_and_solve).
+    """
+    d = dim
+    if d < 3:
+        raise ValueError(f"truncation dimension must be at least 3, got {d}")
+    _, indptr, *_ = _layout(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        data = _liouvillian_data(points, d)
+        # every row stores its diagonal entry, so no row of the pattern is empty
+        scale = np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1).tolist()  # ||L||_inf
+    states, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d)
+
+    solved = [i for i, state in enumerate(states) if state is None]
+    if not solved:
+        return states
+    # row-major, each vec(rho) reads as rho^T
+    rho = vecs[solved].reshape(-1, d, d).transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = np.ascontiguousarray(rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None])
+    rho.setflags(write=False)
+
+    residuals = _residuals(data if len(solved) == len(points) else data[solved], rho)
+    for j, (i, residual, defect) in enumerate(zip(solved, residuals, _unphysical(rho))):
+        if residual > 1e-9 * scale[i]:
+            states[i] = _failure(f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}")
+        elif defect is not None:
+            states[i] = _failure(f"unphysical steady state at dim={d}: {defect}", ValueError(defect))
+        else:
+            states[i] = _trusted(DensityMatrix, dim=d, entries=rho[j])
+    return states
 
 
 def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
@@ -343,73 +542,13 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     overflows double precision, an exactly singular factor, or a reciprocal
     1-norm condition estimate below 1e-14 raises SteadyStateError rather
     than returning digits that are mostly noise, as does a residual above
-    1e-9 ||L||_inf or an unphysical DensityMatrix.
+    1e-9 ||L||_inf or an unphysical DensityMatrix.  The one-point batch of
+    the engine's solve.
     """
-    d = space.dim
-    if d < 3:
-        raise ValueError(f"truncation dimension must be at least 3, got {d}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        big_l = liouvillian(p, space)
-    data, indptr = big_l.data, big_l.indptr
-    size = d * d
-
-    # every row stores its diagonal entry, so no row of the pattern is empty
-    scale = float(np.max(np.add.reduceat(np.abs(data), indptr[:-1])))  # ||L||_inf
-    if not math.isfinite(scale):
-        raise SteadyStateError(
-            f"steady-state system at dim={d} overflows double precision; "
-            f"try smaller parameters"
-        )
-    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d)
-    # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
-    # the small populations of graded states off: fig4d's weak-drive g2 by 4e-7
-    sys_data = np.append(data, p.kappa)[take]
-    # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
-    # small populations of a graded state accurate (g2 to ~1e-15 where A^T
-    # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
-    # wherever it is within a factor 100 of its column's largest candidate.
-    # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
-    # default merges larger ones) keeps the fill and saves 15-30% of the
-    # factor time up to D=36.  Panels of one column: a wider panel buys
-    # BLAS-3 reuse only across wide supernodes, which these never are, and
-    # its work arrays cost ~100 page faults per call on the hot path.
-    system = csc_array((sys_data, sys_indices, sys_indptr), shape=(size, size))
-    # one BLAS thread: see _openblas_thread_controls
-    with _one_blas_thread():
-        try:
-            lu = splu(
-                system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4, panel_size=1
-            )
-        except RuntimeError as exc:
-            raise SteadyStateError(
-                f"singular steady-state system at dim={d}; try a larger truncation "
-                f"or different parameters ({exc})"
-            ) from exc
-        # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
-        # inverse); every column holds an entry of H's band, so none is empty
-        anorm = float(np.max(np.add.reduceat(np.abs(sys_data), sys_indptr[:-1])))
-        rcond = 1.0 / (anorm * _inverse_norm_estimate(lu, size))
-        if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-            raise SteadyStateError(
-                f"steady-state system too ill-conditioned at dim={d} "
-                f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
-            )
-        vec = np.empty(size, dtype=complex)
-        vec[order] = lu.solve(rhs)
-
-    rho = vec.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.real(np.trace(rho))
-
-    residual = float(np.max(np.abs(big_l @ rho.flatten(order="F"))))
-    if residual > 1e-9 * scale:
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}"
-        )
-    try:
-        return DensityMatrix(dim=d, entries=rho)
-    except ValueError as exc:
-        raise SteadyStateError(f"unphysical steady state at dim={d}: {exc}") from exc
+    states = _solve_states([p], space.dim)
+    if isinstance(states[0], SteadyStateError):
+        raise states.pop()  # popped: a local holding it would cycle through its traceback
+    return states[0]
 
 
 def observables(rho: DensityMatrix) -> Observables:
@@ -430,25 +569,120 @@ def _lg_gap(before: Observables, after: Observables) -> float:
     return gap
 
 
-def _tail_share(obs: Observables) -> float:
+def _tail_shares(pops: np.ndarray) -> np.ndarray:
     """Largest share of N = sum n P(n) and of <a'a'aa> = sum n(n-1) P(n)
     held by the number states n >= START_DIM, which the first rung cannot
-    represent.  Tail populations count by magnitude, so solver noise never
-    lowers the share.  Needs both moments positive (obs.lg_g2 defined)."""
-    pops = np.asarray(obs.populations)
-    n = np.arange(pops.size, dtype=float)
-    return max(
-        float(np.dot(w[START_DIM:], np.abs(pops[START_DIM:])) / np.dot(w, pops))
-        for w in (n, n * (n - 1.0))
+    represent, for each row of the (B, n) populations.  Tail populations
+    count by magnitude, so solver noise never lowers the share.  Meaningful
+    where both moments are positive (lg_g2 defined)."""
+    pops = np.ascontiguousarray(pops)
+    n = np.arange(pops.shape[1], dtype=float)
+    tail = np.abs(pops[:, START_DIM:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_share, pair_share = (
+            _row_dots(tail, w[START_DIM:]) / _row_dots(pops, w) for w in (n, n * (n - 1.0))
+        )
+    return np.maximum(n_share, pair_share)
+
+
+def _rung(points, dim: int) -> list:
+    """The batched rung: for each of the points, (rho, obs, tail share) at
+    truncation dim, or the SteadyStateError that rejects it (unraised)."""
+    results = _solve_states(points, dim)
+    solved = [i for i, state in enumerate(results) if isinstance(state, DensityMatrix)]
+    if solved:
+        # a copy of the states with the stride a single DensityMatrix has, so
+        # each row's moments round as observables(rho) would
+        pops = np.diagonal(np.array([results[i].entries for i in solved]), axis1=1, axis2=2).real
+        for i, obs, share in zip(solved, _observables(pops), _tail_shares(pops).tolist()):
+            if isinstance(obs, ValueError):
+                results[i] = _failure(f"unphysical observables at dim={dim}: {obs}", obs)
+            else:
+                results[i] = (results[i], obs, share)
+    return results
+
+
+def check_ladder(tol: float, max_dim: int) -> None:
+    """Reject, as a ValueError, a tol or max_dim no ladder can run on."""
+    if max_dim < START_DIM:
+        raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+
+
+def _climb(p: SystemParams, tol: float, max_dim: int):
+    """converged_steady_state's rule for one point, as a generator: yields
+    each truncation it needs, is sent that rung's _rung result, and returns
+    the outcome, (rho, obs, dim) or the SteadyStateError (unraised)."""
+    threshold = math.hypot(p.delta, 0.5 * p.kappa)
+    if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
+        return ConvergenceError(
+            f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
+            f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
+        )
+
+    ahead = None
+    if max_dim >= CERTIFY_DIM:
+        ahead = yield CERTIFY_DIM
+        if isinstance(ahead, SteadyStateError):
+            # the ladder stops at rung 12 or meets this failure at D=18
+            first = yield START_DIM
+            if isinstance(first, SteadyStateError):
+                return first
+            rho, obs, _ = first
+            return (rho, obs, START_DIM) if obs.mean_photon < PHOTON_FLOOR else ahead
+        rho, obs, share = ahead
+        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+        if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
+            return rho, obs, CERTIFY_DIM
+
+    previous: Observables | None = None
+    before_previous: Observables | None = None
+    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
+        result = ahead if dim == CERTIFY_DIM and ahead is not None else (yield dim)
+        if isinstance(result, SteadyStateError):
+            return result
+        rho, obs, _ = result
+        if obs.mean_photon < PHOTON_FLOOR:
+            return rho, obs, dim
+        if previous is not None and _lg_gap(previous, obs) < tol:
+            return rho, obs, dim
+        before_previous = previous
+        previous = obs
+    return ConvergenceError(
+        f"observables not settled to tol={tol} at dim={dim}",
+        previous=before_previous,
+        last=previous,
     )
 
 
-def _rung(p: SystemParams, dim: int) -> tuple[DensityMatrix, Observables]:
-    rho = steady_state(p, FockSpace(dim))
-    try:
-        return rho, observables(rho)
-    except ValueError as exc:
-        raise SteadyStateError(f"unphysical observables at dim={dim}: {exc}") from exc
+def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_MAX_DIM) -> list:
+    """converged_steady_state for each of at most BATCH points, solved together.
+
+    Returns, for each point, (rho, obs, dim) or the SteadyStateError it
+    would raise, unraised.  Every point climbs its own ladder; at each step
+    the points waiting for the same truncation are solved as one _rung
+    batch, and a point leaves as soon as its outcome is known.  A NaN or
+    negative tol, or a max_dim below 12, is a ValueError.
+    """
+    check_ladder(tol, max_dim)
+    if len(points) > BATCH:
+        raise ValueError(f"a batch holds at most {BATCH} points, got {len(points)}")
+    outcomes: list = [None] * len(points)
+    climbs = {i: _climb(p, tol, max_dim) for i, p in enumerate(points)}
+    sent = dict.fromkeys(climbs)
+    while climbs:
+        waiting = {}
+        for i, climb in list(climbs.items()):
+            try:
+                waiting[i] = climb.send(sent[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+                del climbs[i]
+        for dim in sorted(set(waiting.values())):
+            group = [i for i, wanted in waiting.items() if wanted == dim]
+            sent.update(zip(group, _rung([points[i] for i in group], dim)))
+    return outcomes
 
 
 def converged_steady_state(
@@ -478,44 +712,9 @@ def converged_steady_state(
     state; such a point raises ConvergenceError (previous and last None)
     before any solve.  Kerr points are bounded and always solved.
     Observables that fail their own checks raise SteadyStateError.
+    The one-point case of converge_batch.
     """
-    if max_dim < START_DIM:
-        raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
-    threshold = math.hypot(p.delta, 0.5 * p.kappa)
-    if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
-        raise ConvergenceError(
-            f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
-            f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
-        )
-
-    rung = functools.cache(functools.partial(_rung, p))  # a failed rung is not kept
-    if max_dim >= CERTIFY_DIM:
-        try:
-            rho, obs = rung(CERTIFY_DIM)
-        except SteadyStateError:
-            # the ladder stops at rung 12 or meets this failure at D=18 (not kept: a cycle)
-            rho, obs = rung(START_DIM)
-            if obs.mean_photon < PHOTON_FLOOR:
-                return rho, obs, START_DIM
-            raise
-        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-        if obs.lg_g2 is not None and _tail_share(obs) < TAIL_SHARE_BOUND * tol:
-            return rho, obs, CERTIFY_DIM
-
-    previous: Observables | None = None
-    before_previous: Observables | None = None
-    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        rho, obs = rung(dim)
-        if obs.mean_photon < PHOTON_FLOOR:
-            return rho, obs, dim
-        if previous is not None and _lg_gap(previous, obs) < tol:
-            return rho, obs, dim
-        before_previous = previous
-        previous = obs
-    raise ConvergenceError(
-        f"observables not settled to tol={tol} at dim={dim}",
-        previous=before_previous,
-        last=previous,
-    )
+    outcomes = converge_batch([p], tol, max_dim=max_dim)
+    if isinstance(outcomes[0], SteadyStateError):
+        raise outcomes.pop()  # popped: a local holding it would cycle through its traceback
+    return outcomes[0]

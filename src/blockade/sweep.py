@@ -7,11 +7,15 @@ the sweep.  Presets bundle the fixed parameters and axes used by the
 standard survey figures; ranges the source figures leave unstated are
 documented defaults here and remain overridable by the caller.
 
-Grid points are independent solves, so the engine can fan them out over a
-process pool; results are always assembled in grid order, making output
-independent of the degree of parallelism.  The BLOCKADE_THREADS environment
-variable sets the requested pool size (default: machine CPU count); the pool
-never holds more processes than the machine has CPUs or the grid has points.
+The grid's points go through the batch engine (steady.converge_batch) in
+consecutive batches of at most steady.BATCH points; a point's row does not
+depend on which batch holds it.  The batches are independent, so the
+engine can fan them out over a process pool, whose workers take whole
+batches, at least about eight per worker (smaller ones on small grids);
+results are always assembled in grid order, making output independent of
+the degree of parallelism.  The BLOCKADE_THREADS environment variable sets
+the requested pool size (default: machine CPU count); the pool never holds
+more processes than the machine has CPUs or the grid has points.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 # amplitudes_closed_form is not called here; bench/tracing.py looks it up on this module.
 from .analytic import amplitudes_closed_form  # noqa: F401
 from .model import SystemParams
-from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, converged_steady_state
+from .steady import BATCH, DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, check_ladder, converge_batch
+# converged_steady_state is not called here either; bench/tracing.py looks it up on this module.
+from .steady import converged_steady_state  # noqa: F401
 
 SWEEPABLE_PARAMS = ("delta", "u", "g", "f", "phi")
 
@@ -113,12 +119,15 @@ class SweepResult:
             raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
 
 
-def _evaluate_point(params: SystemParams, tol: float, max_dim: int) -> SweepRow:
-    try:
-        _, obs, dim = converged_steady_state(params, tol, max_dim=max_dim)
-    except SteadyStateError:
-        return SweepRow(params, None, None, None, None, None)
-    return SweepRow(params, dim, obs.mean_photon, obs.g2, obs.lg_n, obs.lg_g2)
+def _evaluate_batch(points, tol: float, max_dim: int) -> list[SweepRow]:
+    rows = []
+    for p, outcome in zip(points, converge_batch(points, tol, max_dim=max_dim)):
+        if isinstance(outcome, SteadyStateError):
+            rows.append(SweepRow(p, None, None, None, None, None))
+        else:
+            _, obs, dim = outcome
+            rows.append(SweepRow(p, dim, obs.mean_photon, obs.g2, obs.lg_n, obs.lg_g2))
+    return rows
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -166,15 +175,20 @@ def run_sweep(
         base.replace(**{axis.param: float(v) for axis, v in zip(axes, values)})
         for values in itertools.product(*(axis.points() for axis in axes))
     ]
-    evaluate = partial(_evaluate_point, tol=tol, max_dim=max_dim)
+    check_ladder(tol, max_dim)
+    evaluate = partial(_evaluate_batch, tol=tol, max_dim=max_dim)
 
     n_workers = min(_resolve_workers(workers), os.cpu_count() or 1, len(points))
-    if n_workers == 1 or len(points) < 4:
-        rows = tuple(map(evaluate, points))
-    else:
-        chunk = max(1, len(points) // (8 * n_workers))
+    pooled = n_workers > 1 and len(points) >= 4
+    size = min(BATCH, max(1, len(points) // (8 * n_workers))) if pooled else BATCH
+    batches = [points[i : i + size] for i in range(0, len(points), size)]
+    if pooled:
+        chunk = max(1, len(batches) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = tuple(pool.map(evaluate, points, chunksize=chunk))
+            solved = list(pool.map(evaluate, batches, chunksize=chunk))
+    else:
+        solved = map(evaluate, batches)
+    rows = tuple(itertools.chain.from_iterable(solved))
 
     dims_used = sorted({row.dim for row in rows if row.dim is not None})
     metadata = {

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import strategies as st
@@ -149,46 +150,70 @@ def weak_drive_draw(rng):
 
 
 def force_unphysical(monkeypatch):
-    """Make every steady_state solution fail its DensityMatrix physicality check."""
+    """Make every state fail its DensityMatrix physicality check."""
 
-    def reject(dim, entries):
-        raise ValueError("not positive semidefinite: forced")
+    def reject(stack):
+        return ["not positive semidefinite: forced"] * len(stack)
 
-    monkeypatch.setattr(blockade.steady, "DensityMatrix", reject)
+    monkeypatch.setattr(blockade.steady, "_unphysical", reject)
 
 
-def fail_at(monkeypatch, dim):
-    """Make the steady_state call at truncation dim raise SteadyStateError;
-    calls at every other truncation solve as before."""
-    solve = blockade.steady.steady_state
+def fail_at(monkeypatch, dim, victims=None):
+    """Make the batched solve (steady._solve_states, behind steady_state and
+    every rung of a batch) at truncation dim reject each of the victims, or
+    every point if victims is None, with SteadyStateError; every other
+    point and truncation solves as before."""
+    solve = blockade.steady._solve_states
 
-    def failing(p, space):
-        if space.dim == dim:
-            raise SteadyStateError(f"steady-state system too ill-conditioned at dim={dim}: forced")
-        return solve(p, space)
+    def failing(points, d):
+        states = solve(points, d)
+        if d != dim:
+            return states
+        error = f"steady-state system too ill-conditioned at dim={dim}: forced"
+        return [
+            SteadyStateError(error) if victims is None or p in victims else state
+            for p, state in zip(points, states)
+        ]
 
-    monkeypatch.setattr(blockade.steady, "steady_state", failing)
+    monkeypatch.setattr(blockade.steady, "_solve_states", failing)
 
 
 def force_unphysical_observables(monkeypatch):
-    """Make every steady_state return a state that DensityMatrix accepts but
+    """Make every batched solve return states that DensityMatrix accepts but
     Observables rejects: a population of -5e-9 is inside the eigenvalue
     tolerance (-1e-8) and outside the population one (-1e-10)."""
     entries = np.diag([1 + 5e-9, 0.0, -5e-9])
 
-    def solve(p, space):
-        return blockade.steady.DensityMatrix(dim=3, entries=entries)
+    def solve(points, dim):
+        return [blockade.steady.DensityMatrix(dim=3, entries=entries) for _ in points]
 
-    monkeypatch.setattr(blockade.steady, "steady_state", solve)
+    monkeypatch.setattr(blockade.steady, "_solve_states", solve)
 
 
 def never_solve(monkeypatch):
-    """Make any call of steady_state fail the test."""
+    """Make any batched solve fail the test."""
 
-    def solve(p, space):
-        raise AssertionError(f"steady_state called at dim={space.dim}")
+    def solve(points, dim):
+        raise AssertionError(f"a batch of {len(points)} solved at dim={dim}")
 
-    monkeypatch.setattr(blockade.steady, "steady_state", solve)
+    monkeypatch.setattr(blockade.steady, "_solve_states", solve)
+
+
+def record_rungs(monkeypatch):
+    """Record every later batched solve.  Returns (rungs, batches): the
+    truncations solved for each point, in order, keyed by its SystemParams,
+    and each batch's (dim, number of points)."""
+    rungs, batches = defaultdict(list), []
+    solve = blockade.steady._solve_states
+
+    def recording(points, dim):
+        batches.append((dim, len(points)))
+        for p in points:
+            rungs[p].append(dim)
+        return solve(points, dim)
+
+    monkeypatch.setattr(blockade.steady, "_solve_states", recording)
+    return rungs, batches
 
 
 def reference_ladder(p, tol=DEFAULT_TOL, *, max_dim=DEFAULT_MAX_DIM):

@@ -13,6 +13,7 @@ import pytest
 from helpers import force_unphysical, force_unphysical_observables, never_solve
 
 import blockade.cli
+import blockade.steady
 from blockade.cli import (
     CSV_HEADER,
     CliUsageError,
@@ -95,6 +96,28 @@ class TestParseConfig:
         cfg = parse_config(["sweep", "--axis", "delta:-1:1:11", "--axis", "g:0.05,0.1,0.2"])
         assert cfg.axes[0] == GridAxis.linear("delta", -1.0, 1.0, 11)
         assert cfg.axes[1] == GridAxis("g", (0.05, 0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--tol", "nan"],
+            ["solve", "--tol=-1e-3"],
+            ["solve", "--max-dim", "11"],
+            ["sweep", "--axis", "f:0:0.1:3", "--tol", "nan"],
+            ["sweep", "--axis", "f:0:0.1:3", "--max-dim", "6"],
+            ["spectrum", "--n-max", "-1"],
+            ["sweep", "--axis", "f:-0.1:0.1:3"],  # a negative drive on the grid
+        ],
+    )
+    def test_values_no_command_can_run_are_usage_errors(self, argv):
+        with pytest.raises(CliUsageError):
+            parse_config(argv)
+
+    def test_bad_worker_count_is_usage_error(self, monkeypatch):
+        monkeypatch.setenv("BLOCKADE_THREADS", "zero")
+        with pytest.raises(CliUsageError, match="BLOCKADE_THREADS"):
+            parse_config(["sweep", "--axis", "f:0:0.1:3"])
+        parse_config(["solve"])  # only a sweep starts workers
 
     def test_invalid_params_rejected(self):
         with pytest.raises(CliUsageError):
@@ -229,8 +252,34 @@ class TestExitCodes:
         target = tmp_path / "out.csv"
         target.write_text("earlier result\n", encoding="utf-8")
         argv = ["sweep", "--axis", "f:0:1:2", "--axis", "f:0:1:3", "--output", str(target)]
-        assert main(argv) == 2  # run_sweep rejects two axes on one parameter
+        assert main(argv) == 2  # two axes on one parameter are a usage error
         assert target.read_text(encoding="utf-8") == "earlier result\n"
+
+    def test_rejected_sweep_creates_no_output(self, capsys, tmp_path):
+        target = tmp_path / "new.csv"
+        argv = ["sweep", "--axis", "g:0:0.1:3", "--f", "0.1", "--max-dim", "6", "--output", str(target)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: max_dim=6 is below")
+        assert not target.exists()
+
+    def test_negative_n_max_prints_no_header(self, capsys):
+        assert main(["spectrum", "--n-max", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: n_max must be a non-negative integer")
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--f", "0.1"], ["sweep", "--axis", "delta:0:1:2", "--f", "0.1"]]
+    )
+    def test_value_error_inside_a_solve_is_not_a_usage_error(self, capsys, monkeypatch, argv):
+        def stray(points, dim):
+            raise ValueError("stray value error")
+
+        monkeypatch.setenv("BLOCKADE_THREADS", "1")
+        monkeypatch.setattr(blockade.steady, "_solve_states", stray)
+        with pytest.raises(ValueError, match="stray value error"):
+            main(argv)
+        assert "usage error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["f", "tol"])
     def test_config_integer_too_large_for_float(self, capsys, tmp_path, field):

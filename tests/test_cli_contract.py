@@ -98,9 +98,9 @@ configs = st.one_of(
 
 @contextlib.contextmanager
 def watch_solves():
-    """Collect every ValueError raised out of steady_state or observables."""
+    """Collect every ValueError raised out of a batched solve or its observables."""
     errors = []
-    originals = {name: getattr(blockade.steady, name) for name in ("steady_state", "observables")}
+    originals = {name: getattr(blockade.steady, name) for name in ("_solve_states", "_rung")}
 
     def watched(solve):
         def call(*args):

@@ -28,7 +28,7 @@ from helpers import (
 import blockade.steady
 from blockade.analytic import optimal_g
 from blockade.model import FockSpace, SystemParams
-from blockade.sweep import preset
+from blockade.sweep import GridAxis, preset, run_sweep
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     DEFAULT_TOL,
@@ -222,14 +222,12 @@ class TestSteadyState:
 
     def test_singular_factor_is_solver_failure(self, monkeypatch):
         # an all-zero generator leaves only the trace row: exactly singular
-        build = blockade.steady.liouvillian
+        build = blockade.steady._liouvillian_data
 
-        def zero_generator(p, space):
-            gen = build(p, space)
-            gen.data[:] = 0.0
-            return gen
+        def zero_generator(points, dim):
+            return np.zeros_like(build(points, dim))
 
-        monkeypatch.setattr(blockade.steady, "liouvillian", zero_generator)
+        monkeypatch.setattr(blockade.steady, "_liouvillian_data", zero_generator)
         with pytest.raises(SteadyStateError, match="singular") as excinfo:
             steady_state(SystemParams(f=0.1), FockSpace(12))
         assert isinstance(excinfo.value.__cause__, RuntimeError)
@@ -616,15 +614,15 @@ def ladder_outcome(solve, p, tol, max_dim):
 
 
 def record_solves(monkeypatch):
-    """Dims of every later steady_state call, in order."""
+    """Dims of every later batched solve, in order."""
     dims = []
-    solve = blockade.steady.steady_state
+    solve = blockade.steady._solve_states
 
-    def recording(p, space):
-        dims.append(space.dim)
-        return solve(p, space)
+    def recording(points, dim):
+        dims.append(dim)
+        return solve(points, dim)
 
-    monkeypatch.setattr(blockade.steady, "steady_state", recording)
+    monkeypatch.setattr(blockade.steady, "_solve_states", recording)
     return dims
 
 
@@ -712,6 +710,12 @@ class TestOneRungRule:
                 pass
             else:
                 pytest.fail("the forced D=18 failure was not raised")
+            assert gc.collect() == 0
+            # and a batch whose every point fails, at D=18 ahead and then for good
+            axes = [GridAxis("f", (0.05, 0.1, 0.2)), GridAxis("g", (0.0, 0.02, 0.03))]
+            result = run_sweep(SystemParams(u=0.5), axes, max_dim=24, workers=1)
+            assert [row.status for row in result.rows] == ["FAIL"] * 9
+            del result
             assert gc.collect() == 0
         finally:
             gc.enable()
