@@ -10,7 +10,7 @@ the optimal parametric gain) together with parameter-sweep presets.
 
 import types
 
-from .model import SystemParams, FockSpace, build_h_eff, energy_levels
+from .model import SystemParams, build_h_eff, energy_levels
 from .steady import (
     DensityMatrix,
     Observables,

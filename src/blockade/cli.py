@@ -26,7 +26,7 @@ from .analytic import (
 )
 from .model import SystemParams, energy_levels
 from .steady import DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, check_ladder, converged_steady_state
-from .sweep import GridAxis, SweepResult, _resolve_workers, preset, run_sweep
+from .sweep import GridAxis, SweepResult, _resolve_workers, check_grid, preset, run_sweep
 
 PARAM_FIELDS = tuple(field.name for field in fields(SystemParams))
 
@@ -182,21 +182,16 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     if values["format"] not in FORMATS:
         raise CliUsageError(f"format must be {' or '.join(FORMATS)}, got {values['format']!r}")
 
-    axes = None
+    axes = preset_axes  # None unless a sweep names a preset
     axis_spec = values["axis"]
     if axis_spec is not None:
         if isinstance(axis_spec, str):
             axis_spec = [axis_spec]
         axes = [parse_axis(text) for text in axis_spec]
-        if not 1 <= len(axes) <= 2:
-            raise CliUsageError(f"expected one or two axes, got {len(axes)}")
 
     if namespace.command == "sweep":
-        if preset_id is None and axes is None:
+        if axes is None:
             raise CliUsageError("sweep needs --preset or at least one --axis")
-        swept = preset_axes if axes is None else axes
-        if len(swept) == 2 and swept[0].param == swept[1].param:
-            raise CliUsageError(f"axes must sweep distinct parameters, both are {swept[0].param!r}")
     else:
         if axes is not None:
             raise CliUsageError(f"{namespace.command} does not accept axes")
@@ -204,9 +199,8 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
             raise CliUsageError(f"{namespace.command} does not accept a preset")
 
     # Everything execute would reject is rejected here, before any output is
-    # written: the ladder settings, the spectrum length, every grid point
-    # (each parameter's valid set is an interval, so an axis's ends decide)
-    # and the sweep's worker count.
+    # written: the ladder settings, the spectrum length, the sweep's grid
+    # (sweep.check_grid) and its worker count.
     names = _COMMANDS[namespace.command][1]
     try:
         if "tol" in names:
@@ -214,9 +208,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
         if "n_max" in names and values["n_max"] < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {values['n_max']!r}")
         if namespace.command == "sweep":
-            for axis in swept:
-                for value in (axis.min, axis.max):
-                    params.replace(**{axis.param: value})
+            check_grid(params, axes)
             _resolve_workers(None)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
@@ -225,7 +217,7 @@ def parse_config(argv, config_text: str | None = None) -> RunConfig:
     return RunConfig(
         command=namespace.command,
         params=params,
-        axes=preset_axes if axes is None else axes,
+        axes=axes,
         **{name: None if v is None else _FIELDS[name][0](v) for name, v in options.items()},
     )
 

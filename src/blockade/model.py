@@ -1,4 +1,4 @@
-"""Physical parameters, the truncated Fock space, the Hamiltonian and the bare spectrum.
+"""Physical parameters, the Hamiltonian and the bare spectrum.
 
 The model is a single cavity mode in the frame rotating at the drive
 frequency: detuning delta, Kerr photon-photon interaction u, degenerate
@@ -6,8 +6,8 @@ parametric gain g, coherent drive amplitude f with phase phi, and cavity
 decay rate kappa.  All rates are quoted in units of kappa, which defaults
 to 1 so numbers can be read directly as kappa-normalized.
 
-The Hamiltonian is a dense complex128 array on the truncated Fock space,
-indexed so that the photon number n is the matrix index n.
+The Hamiltonian at truncation D (a plain int) is a dense complex128 D x D
+array on the number states |0> .. |D-1>, photon number n at matrix index n.
 """
 
 from __future__ import annotations
@@ -58,22 +58,6 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated single-mode Fock space keeping number states |0> .. |dim-1>.
-
-    Any positive dim is valid; the steady-state solver needs dim >= 3.
-    """
-
-    dim: int
-
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise TypeError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-
-
 def h_eff_stack(points, dim: int) -> np.ndarray:
     """build_h_eff for each of the points, as one (B, dim, dim) array.
 
@@ -100,13 +84,13 @@ def h_eff_stack(points, dim: int) -> np.ndarray:
     return h
 
 
-def build_h_eff(p: SystemParams, space: FockSpace) -> np.ndarray:
+def build_h_eff(p: SystemParams, dim: int) -> np.ndarray:
     """Rotating-frame Hamiltonian of the driven Kerr cavity with parametric gain.
 
     H = delta a'a + u a'a'aa + i g (a'a' - aa) + f (a' e^{i phi} + a e^{-i phi})
     with a' the creation operator.  Hermitian by construction.
     """
-    return h_eff_stack([p], space.dim)[0]
+    return h_eff_stack([p], dim)[0]
 
 
 def energy_levels(omega_a: float, u: float, n_max: int) -> list[float]:

@@ -43,7 +43,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 # build_h_eff is not called here; bench/tracing.py looks it up on this module.
-from .model import FockSpace, SystemParams, build_h_eff, h_eff_stack  # noqa: F401
+from .model import SystemParams, build_h_eff, h_eff_stack  # noqa: F401
 
 # Below this mean photon number, g2 is a 0/0 ratio and reported undefined.
 PHOTON_FLOOR = 1e-12
@@ -110,6 +110,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise TypeError(f"dim must be an integer, got {self.dim!r}")
         entries = np.array(self.entries, dtype=complex)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
@@ -236,6 +238,8 @@ def _layout(d: int):
     kappa), whose trailing kappa fills every trace-row entry; its CSC index
     arrays; and the right-hand side P e_0.  All but h_to_data are read-only.
     """
+    if d < 1:
+        raise ValueError(f"truncation dimension must be positive, got {d}")
     n = np.arange(d)
     ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
     spectator = n[:, None]
@@ -399,16 +403,15 @@ def _liouvillian_data(points, d: int) -> np.ndarray:
     return data
 
 
-def liouvillian(p: SystemParams, space: FockSpace) -> csr_array:
-    """Generator L with vec(drho/dt) = L vec(rho) under column stacking.
+def liouvillian(p: SystemParams, dim: int) -> csr_array:
+    """Generator L with vec(drho/dt) = L vec(rho) under column stacking, at truncation dim.
 
     A sparse CSR matrix whose index arrays are shared, read-only, by every
     call at the same truncation.
     """
-    d = space.dim
-    indices, indptr, *_ = _layout(d)
-    (data,) = _liouvillian_data([p], d)
-    return csr_array((data, indices, indptr), shape=(d * d, d * d))
+    indices, indptr, *_ = _layout(dim)
+    (data,) = _liouvillian_data([p], dim)
+    return csr_array((data, indices, indptr), shape=(dim * dim, dim * dim))
 
 
 def _failure(message: str, cause: Exception | None = None) -> SteadyStateError:
@@ -493,15 +496,16 @@ def _residuals(data: np.ndarray, rho: np.ndarray) -> list[float]:
         return np.abs(np.add.reduceat(products, indptr[:-1], axis=1)).max(axis=1).tolist()
 
 
-def _solve_states(points, dim: int) -> list:
-    """The steady state of each of the points at truncation dim: a
+def _solve_states(points, d: int) -> list:
+    """The steady state of each of the points at truncation d: a
     DensityMatrix, or the SteadyStateError that rejects it (unraised).
 
     The batch's Liouvillian data, norms, residuals and physicality checks
     are stack operations; only the factor, its condition estimate and the
     answer's solve are made point by point (_factor_and_solve).
     """
-    d = dim
+    if not isinstance(d, int) or isinstance(d, bool):  # as DensityMatrix requires
+        raise TypeError(f"truncation dimension must be an integer, got {d!r}")
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
     _, indptr, *_ = _layout(d)
@@ -531,8 +535,8 @@ def _solve_states(points, dim: int) -> list:
     return states
 
 
-def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
-    """Unique steady state of the master equation at fixed truncation.
+def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
+    """Unique steady state of the master equation at truncation dim (at least 3).
 
     Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
     the vectorized trace functional times kappa, so that A scales with the
@@ -545,7 +549,7 @@ def steady_state(p: SystemParams, space: FockSpace) -> DensityMatrix:
     1e-9 ||L||_inf or an unphysical DensityMatrix.  The one-point batch of
     the engine's solve.
     """
-    states = _solve_states([p], space.dim)
+    states = _solve_states([p], dim)
     if isinstance(states[0], SteadyStateError):
         raise states.pop()  # popped: a local holding it would cycle through its traceback
     return states[0]
@@ -624,22 +628,17 @@ def _climb(p: SystemParams, tol: float, max_dim: int):
     ahead = None
     if max_dim >= CERTIFY_DIM:
         ahead = yield CERTIFY_DIM
-        if isinstance(ahead, SteadyStateError):
-            # the ladder stops at rung 12 or meets this failure at D=18
-            first = yield START_DIM
-            if isinstance(first, SteadyStateError):
-                return first
-            rho, obs, _ = first
-            return (rho, obs, START_DIM) if obs.mean_photon < PHOTON_FLOOR else ahead
-        rho, obs, share = ahead
-        # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-        if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
-            return rho, obs, CERTIFY_DIM
+        # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
+        if not isinstance(ahead, SteadyStateError):
+            rho, obs, share = ahead
+            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+            if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
+                return rho, obs, CERTIFY_DIM
 
     previous: Observables | None = None
     before_previous: Observables | None = None
     for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        result = ahead if dim == CERTIFY_DIM and ahead is not None else (yield dim)
+        result = ahead if dim == CERTIFY_DIM else (yield dim)
         if isinstance(result, SteadyStateError):
             return result
         rho, obs, _ = result

@@ -145,6 +145,22 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def check_grid(base: SystemParams, axes) -> None:
+    """Reject a grid run_sweep cannot evaluate: other than one or two
+    GridAxis, two axes on one parameter, or a grid point that is no valid
+    SystemParams (each parameter's valid set is an interval, so an axis's
+    ends decide)."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError(f"expected one or two axes, got {len(axes)}")
+    if any(not isinstance(axis, GridAxis) for axis in axes):
+        raise TypeError("axes must be GridAxis instances")
+    if len(axes) == 2 and axes[0].param == axes[1].param:
+        raise ValueError(f"axes must sweep distinct parameters, both are {axes[0].param!r}")
+    for axis in axes:
+        for value in (axis.min, axis.max):
+            base.replace(**{axis.param: value})
+
+
 def run_sweep(
     base: SystemParams,
     axes,
@@ -161,16 +177,9 @@ def run_sweep(
     order regardless of worker count; the CLI adds the metadata's preset id.
     """
     axes = tuple(axes)
-    if not 1 <= len(axes) <= 2:
-        raise ValueError(f"expected one or two axes, got {len(axes)}")
-    if any(not isinstance(axis, GridAxis) for axis in axes):
-        raise TypeError("axes must be GridAxis instances")
-    if len(axes) == 2 and axes[0].param == axes[1].param:
-        raise ValueError(f"axes must sweep distinct parameters, both are {axes[0].param!r}")
-
-    # Grid parameters are constructed (and validated) up front so that a bad
-    # range, e.g. a negative drive strength, fails fast instead of emitting
-    # thousands of FAIL rows.
+    # a bad range, e.g. a negative drive strength, fails here instead of
+    # emitting thousands of FAIL rows
+    check_grid(base, axes)
     points = [
         base.replace(**{axis.param: float(v) for axis, v in zip(axes, values)})
         for values in itertools.product(*(axis.points() for axis in axes))

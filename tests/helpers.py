@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import blockade.steady
 from blockade.analytic import DEGENERACY_FLOOR, AmplitudeSet, DegenerateParametersError
-from blockade.model import FockSpace, SystemParams, build_h_eff
+from blockade.model import SystemParams, build_h_eff
 from blockade.steady import (
     DEFAULT_MAX_DIM,
     DEFAULT_TOL,
@@ -87,7 +87,7 @@ def dense_liouvillian(params, dim):
     """
     a = ladder(dim)
     n_op = a.conj().T @ a
-    h = build_h_eff(params, FockSpace(dim))
+    h = build_h_eff(params, dim)
     eye = np.eye(dim, dtype=complex)
     unitary = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     decay = 0.5 * params.kappa * (
@@ -235,7 +235,7 @@ def reference_ladder(p, tol=DEFAULT_TOL, *, max_dim=DEFAULT_MAX_DIM):
     previous: Observables | None = None
     before_previous: Observables | None = None
     for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        rho = blockade.steady.steady_state(p, FockSpace(dim))
+        rho = blockade.steady.steady_state(p, dim)
         try:
             obs = blockade.steady.observables(rho)
         except ValueError as exc:

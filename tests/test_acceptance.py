@@ -18,7 +18,7 @@ from blockade.analytic import (
     interference_residual,
     optimal_g,
 )
-from blockade.model import FockSpace, SystemParams
+from blockade.model import SystemParams
 from blockade.steady import (
     DensityMatrix,
     SteadyStateError,
@@ -236,7 +236,7 @@ def test_12_time_evolution_oracle(capsys):
     worst = 0.0
     for _ in range(20):
         p = weak_drive_draw(rng)
-        exact = observables(steady_state(p, FockSpace(12)))
+        exact = observables(steady_state(p, 12))
         evolved = observables(DensityMatrix(12, rk4_steady(p, 12)))
         worst = max(worst, abs(evolved.mean_photon - exact.mean_photon))
         if evolved.g2 is not None and exact.g2 is not None:

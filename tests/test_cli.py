@@ -97,6 +97,18 @@ class TestParseConfig:
         assert cfg.axes[0] == GridAxis.linear("delta", -1.0, 1.0, 11)
         assert cfg.axes[1] == GridAxis("g", (0.05, 0.1, 0.2))
 
+    def test_sweep_rejects_two_axes_on_one_parameter(self):
+        with pytest.raises(CliUsageError, match="distinct parameters, both are 'g'"):
+            parse_config(["sweep", "--axis", "g:0:0.1:3", "--axis", "g:0:0.2:3"])
+
+    def test_three_axes_are_usage_errors(self):
+        axes = ["f:0:0.1:3", "g:0:0.1:3", "u:0:0.1:3"]
+        with pytest.raises(CliUsageError, match="one or two axes, got 3"):
+            parse_config(["sweep", *(f"--axis={axis}" for axis in axes)])
+        # solve has no --axis flag; a config file's axes are reported as such
+        with pytest.raises(CliUsageError, match="solve does not accept axes"):
+            parse_config(["solve"], config_text=json.dumps({"axis": axes}))
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,22 +1,9 @@
-"""The truncated Fock space of blockade.model, and the ladder operator the
-dense test oracles build on it."""
+"""The ladder operator of tests/helpers, which the dense test oracles build on."""
 
 import numpy as np
 import pytest
 
 from helpers import ladder
-
-from blockade.model import FockSpace
-
-
-def test_fockspace_validation():
-    assert FockSpace(3).dim == 3
-    with pytest.raises(ValueError):
-        FockSpace(0)
-    with pytest.raises(ValueError):
-        FockSpace(-2)
-    with pytest.raises(TypeError):
-        FockSpace(3.0)
 
 
 def test_annihilation_d3():

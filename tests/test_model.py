@@ -5,7 +5,7 @@ import pytest
 
 from helpers import ladder
 
-from blockade.model import FockSpace, SystemParams, build_h_eff, energy_levels
+from blockade.model import SystemParams, build_h_eff, energy_levels
 
 
 def random_params(rng):
@@ -56,30 +56,29 @@ class TestSystemParams:
 class TestHamiltonian:
     def test_number_operator_limit(self):
         p = SystemParams(delta=1.0)
-        h = build_h_eff(p, FockSpace(5))
+        h = build_h_eff(p, 5)
         np.testing.assert_allclose(h, np.diag([0.0, 1, 2, 3, 4]).astype(complex), atol=1e-14)
 
     def test_kerr_diagonal(self):
         p = SystemParams(u=0.5)
-        h = build_h_eff(p, FockSpace(4))
+        h = build_h_eff(p, 4)
         np.testing.assert_allclose(h, np.diag([0.0, 0.0, 1.0, 3.0]).astype(complex), atol=1e-14)
 
     def test_opa_matrix_element(self):
         p = SystemParams(g=0.1)
-        h = build_h_eff(p, FockSpace(3))
+        h = build_h_eff(p, 3)
         assert h[2, 0] == pytest.approx(1j * 0.1 * math.sqrt(2), abs=1e-15)
         assert h[0, 2] == pytest.approx(-1j * 0.1 * math.sqrt(2), abs=1e-15)
 
     def test_hermitian_on_random_draws(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            h = build_h_eff(random_params(rng), FockSpace(8))
+            h = build_h_eff(random_params(rng), 8)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 6])
     def test_matches_ladder_operator_products(self, dim):
         # H as written in the docstring, from products of a and a'
-        space = FockSpace(dim)
         a = ladder(dim)
         ad = a.conj().T
         rng = np.random.default_rng(dim)
@@ -93,13 +92,13 @@ class TestHamiltonian:
                 + drive * ad
                 + np.conj(drive) * a
             )
-            h = build_h_eff(p, space)
+            h = build_h_eff(p, dim)
             assert h.shape == (dim, dim)
             np.testing.assert_allclose(h, expected, rtol=0, atol=1e-14 * max(1.0, np.abs(expected).max()))
 
     def test_drive_couples_adjacent_states_only(self):
         p = SystemParams(f=0.3, phi=0.7)
-        h = build_h_eff(p, FockSpace(6))
+        h = build_h_eff(p, 6)
         off = h - np.diag(np.diag(h))
         mask = np.abs(off) > 0
         rows, cols = np.nonzero(mask)
@@ -107,7 +106,7 @@ class TestHamiltonian:
 
     def test_opa_couples_two_apart_only(self):
         p = SystemParams(g=0.2)
-        h = build_h_eff(p, FockSpace(6))
+        h = build_h_eff(p, 6)
         off = h - np.diag(np.diag(h))
         rows, cols = np.nonzero(np.abs(off) > 0)
         assert np.all(np.abs(rows - cols) == 2)

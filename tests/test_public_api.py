@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "ConvergenceError",
     "DegenerateParametersError",
     "DensityMatrix",
-    "FockSpace",
     "GridAxis",
     "Observables",
     "SingularParametersError",
@@ -38,6 +37,11 @@ def test_all_is_pinned_and_resolves():
     assert sorted(blockade.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(blockade, name), name
+
+
+def test_public_surface_has_23_names():
+    # the truncation is a plain int, so no name exports a Fock-space type
+    assert len(PUBLIC_NAMES) == 23
 
 
 def test_fock_module_is_gone():

@@ -27,7 +27,7 @@ from helpers import (
 
 import blockade.steady
 from blockade.analytic import optimal_g
-from blockade.model import FockSpace, SystemParams
+from blockade.model import SystemParams, build_h_eff
 from blockade.sweep import GridAxis, preset, run_sweep
 from blockade.steady import (
     DEFAULT_MAX_DIM,
@@ -78,7 +78,7 @@ def steady_state_factor(monkeypatch, p, dim):
 
     monkeypatch.setattr(blockade.steady, "splu", recording_splu)
     with contextlib.suppress(SteadyStateError):
-        steady_state(p, FockSpace(dim))
+        steady_state(p, dim)
     return factors[-1]
 
 
@@ -117,13 +117,13 @@ def exit_taken(solves, est):
 
 class TestLiouvillian:
     def test_vacuum_stationary_without_couplings(self):
-        gen = liouvillian(SystemParams(), FockSpace(4))
+        gen = liouvillian(SystemParams(), 4)
         out = gen @ vec(ketbra(4, 0))
         assert np.max(np.abs(out)) < 1e-15
 
     @pytest.mark.parametrize("kappa", [1.0, 1.7])
     def test_single_photon_decays_at_kappa(self, kappa):
-        gen = liouvillian(SystemParams(kappa=kappa), FockSpace(4))
+        gen = liouvillian(SystemParams(kappa=kappa), 4)
         out = gen @ vec(ketbra(4, 1))
         expected = kappa * (vec(ketbra(4, 0)) - vec(ketbra(4, 1)))
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -132,7 +132,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(43)
         for _ in range(10):
             p = random_params(rng)
-            gen = liouvillian(p, FockSpace(6)).toarray()
+            gen = liouvillian(p, 6).toarray()
             m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             rho = m + m.conj().T
             rho = rho / np.trace(rho).real
@@ -143,7 +143,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(47)
         for _ in range(10):
             p = random_params(rng)
-            gen = liouvillian(p, FockSpace(8)).toarray()
+            gen = liouvillian(p, 8).toarray()
             tr_vec = vec(np.eye(8, dtype=complex))
             assert np.max(np.abs(tr_vec @ gen)) <= 1e-10 * np.linalg.norm(gen, np.inf)
 
@@ -153,14 +153,14 @@ class TestLiouvillian:
         for _ in range(5):
             p = random_params(rng, u_min=0.0).replace(kappa=float(rng.uniform(0.5, 2)))
             dense = dense_liouvillian(p, dim)
-            gen = liouvillian(p, FockSpace(dim))
+            gen = liouvillian(p, dim)
             assert gen.shape == dense.shape
             err = np.max(np.abs(gen.toarray() - dense))
             assert err <= 1e-14 * np.linalg.norm(dense, np.inf)
 
     def test_pattern_shared_per_dim(self):
-        first = liouvillian(SystemParams(f=0.3, g=0.1), FockSpace(9))
-        second = liouvillian(SystemParams(u=1.0, delta=-0.5), FockSpace(9))
+        first = liouvillian(SystemParams(f=0.3, g=0.1), 9)
+        second = liouvillian(SystemParams(u=1.0, delta=-0.5), 9)
         assert np.shares_memory(first.indices, second.indices)
         assert np.shares_memory(first.indptr, second.indptr)
         assert not first.indices.flags.writeable
@@ -171,7 +171,7 @@ class TestSteadyState:
         rng = np.random.default_rng(53)
         for _ in range(5):
             p = SystemParams(delta=float(rng.uniform(-3, 3)), u=float(rng.uniform(0, 3)))
-            rho = steady_state(p, FockSpace(8))
+            rho = steady_state(p, 8)
             assert np.max(np.abs(rho.entries - ketbra(8, 0))) < 1e-12
             assert observables(rho).mean_photon < 1e-14
 
@@ -179,7 +179,7 @@ class TestSteadyState:
         # linear driven-damped cavity: steady state is coherent with
         # alpha = -F e^{i phi} / (delta - i kappa/2)
         p = SystemParams(f=0.1)
-        rho = steady_state(p, FockSpace(20))
+        rho = steady_state(p, 20)
         obs = observables(rho)
         assert obs.mean_photon == pytest.approx(0.04, abs=1e-9)
         assert obs.g2 == pytest.approx(1.0, abs=1e-3)
@@ -189,7 +189,7 @@ class TestSteadyState:
 
     def test_coherent_amplitude_with_phase_and_detuning(self):
         p = SystemParams(delta=0.4, f=0.08, phi=1.1)
-        rho = steady_state(p, FockSpace(20))
+        rho = steady_state(p, 20)
         alpha = -p.f * np.exp(1j * p.phi) / (p.delta - 0.5j * p.kappa)
         a = ladder(20)
         assert np.trace(rho.entries @ a) == pytest.approx(alpha, abs=1e-9)
@@ -200,25 +200,25 @@ class TestSteadyState:
         # precision; a solve that is only backward stable in norm loses it
         for delta in (-3.0, 3.0):
             p = SystemParams(delta=delta, f=0.1)
-            obs = observables(steady_state(p, FockSpace(18)))
+            obs = observables(steady_state(p, 18))
             assert obs.mean_photon == pytest.approx(p.f**2 / (delta**2 + 0.25), rel=1e-13)
             assert abs(obs.g2 - 1.0) < 1e-12
 
     def test_blockade_point_is_sub_poissonian(self):
         p = SystemParams(delta=0.0, u=0.5, g=0.0273, f=0.1, phi=math.pi / 12)
-        obs = observables(steady_state(p, FockSpace(18)))
+        obs = observables(steady_state(p, 18))
         assert obs.g2 is not None and obs.g2 < 1.0
 
     def test_unphysical_solution_is_solver_failure(self, monkeypatch):
         force_unphysical(monkeypatch)
         with pytest.raises(SteadyStateError, match="forced") as excinfo:
-            steady_state(SystemParams(f=0.1), FockSpace(12))
+            steady_state(SystemParams(f=0.1), 12)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_ill_conditioned_system_is_solver_failure(self, monkeypatch):
         monkeypatch.setattr(blockade.steady, "RCOND_FLOOR", 1.0)
         with pytest.raises(SteadyStateError, match="ill-conditioned"):
-            steady_state(SystemParams(f=0.1), FockSpace(12))
+            steady_state(SystemParams(f=0.1), 12)
 
     def test_singular_factor_is_solver_failure(self, monkeypatch):
         # an all-zero generator leaves only the trace row: exactly singular
@@ -229,7 +229,7 @@ class TestSteadyState:
 
         monkeypatch.setattr(blockade.steady, "_liouvillian_data", zero_generator)
         with pytest.raises(SteadyStateError, match="singular") as excinfo:
-            steady_state(SystemParams(f=0.1), FockSpace(12))
+            steady_state(SystemParams(f=0.1), 12)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_subnormal_solve_entries_raise_no_warning(self):
@@ -238,7 +238,7 @@ class TestSteadyState:
         # overflows to NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho = steady_state(SystemParams(g=5.4e-308), FockSpace(12))
+            rho = steady_state(SystemParams(g=5.4e-308), 12)
         np.testing.assert_allclose(rho.entries, ketbra(12, 0), atol=1e-15)
 
     def test_off_ladder_dim_matches_dense_kernel(self):
@@ -247,7 +247,7 @@ class TestSteadyState:
         _, _, vh = np.linalg.svd(dense_liouvillian(p, dim))
         kernel = vh[-1].conj().reshape((dim, dim), order="F")
         kernel = kernel / np.trace(kernel)
-        rho = steady_state(p, FockSpace(dim)).entries
+        rho = steady_state(p, dim).entries
         assert np.max(np.abs(rho - kernel)) < 1e-12
 
     def test_factors_and_solves_on_one_blas_thread(self, monkeypatch):
@@ -276,12 +276,12 @@ class TestSteadyState:
                 set_(2)
             monkeypatch.setattr(blockade.steady, "splu", recording_splu)
             blockade.steady._layout.cache_clear()  # the layout probe is factored too
-            steady_state(SystemParams(f=0.1), FockSpace(12))
+            steady_state(SystemParams(f=0.1), 12)
             assert len(seen) == 2
             assert [get() for get, _ in controls] == [2] * len(controls)
             monkeypatch.setattr(blockade.steady, "splu", singular_splu)
             with pytest.raises(SteadyStateError, match="singular"):
-                steady_state(SystemParams(f=0.1), FockSpace(12))
+                steady_state(SystemParams(f=0.1), 12)
             assert [get() for get, _ in controls] == [2] * len(controls)
             assert seen == [[1] * len(controls)] * 3
         finally:
@@ -291,19 +291,19 @@ class TestSteadyState:
     def test_pattern_cache_is_bounded(self):
         cache = blockade.steady._layout
         for dim in range(3, 3 + cache.cache_info().maxsize + 4):
-            steady_state(SystemParams(f=0.1), FockSpace(dim))
+            steady_state(SystemParams(f=0.1), dim)
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
         # liouvillian and steady_state share one entry per truncation
         cache.cache_clear()
-        liouvillian(SystemParams(f=0.1), FockSpace(5))
-        steady_state(SystemParams(f=0.1), FockSpace(5))
+        liouvillian(SystemParams(f=0.1), 5)
+        steady_state(SystemParams(f=0.1), 5)
         assert cache.cache_info().currsize == 1
 
     @pytest.mark.parametrize("dim", [4, 7])
     def test_system_layout_matches_dense_oracle(self, dim):
         p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
         dense = dense_liouvillian(p, dim)
-        data = liouvillian(p, FockSpace(dim)).data
+        data = liouvillian(p, dim).data
         size = dim * dim
         *_, order, take, indices, indptr, rhs = blockade.steady._layout(dim)
         assert sorted(order) == list(range(size))
@@ -333,7 +333,7 @@ class TestSteadyState:
         p = SystemParams(
             delta=signs[0] * delta, u=signs[1] * u, g=signs[2] * g, f=f, phi=phi, kappa=kappa
         )
-        gen = liouvillian(p, FockSpace(dim))
+        gen = liouvillian(p, dim)
         sup = np.maximum.reduceat(np.abs(gen.data), gen.indptr[:-1])
         assert np.argmin(sup) == 0
 
@@ -341,10 +341,10 @@ class TestSteadyState:
         target = SystemParams(delta=-0.4, u=0.3, g=0.05, f=0.3, phi=0.7)
         other = SystemParams(delta=1.5, u=0.0, g=0.0, f=0.2)  # zero H entries in the pattern
         blockade.steady._layout.cache_clear()
-        cold = steady_state(target, FockSpace(18)).entries
+        cold = steady_state(target, 18).entries
         blockade.steady._layout.cache_clear()
-        steady_state(other, FockSpace(18))
-        warm = steady_state(target, FockSpace(18)).entries
+        steady_state(other, 18)
+        warm = steady_state(target, 18).entries
         assert np.array_equal(cold, warm)
 
     def test_cached_ordering_cuts_fill(self, monkeypatch):
@@ -358,10 +358,10 @@ class TestSteadyState:
             return factors[-1]
 
         monkeypatch.setattr(blockade.steady, "splu", recording_splu)
-        steady_state(p, FockSpace(36))
+        steady_state(p, 36)
         cached = factors[-1].L.nnz + factors[-1].U.nnz
 
-        unpermuted = liouvillian(p, FockSpace(36)).tolil()
+        unpermuted = liouvillian(p, 36).tolil()
         unpermuted[0, :] = 0.0
         unpermuted[0, np.arange(36) * 37] = 1.0
         default = splu(csc_array(unpermuted))
@@ -369,20 +369,41 @@ class TestSteadyState:
 
     def test_rejects_small_truncation(self):
         with pytest.raises(ValueError):
-            steady_state(SystemParams(f=0.1), FockSpace(2))
+            steady_state(SystemParams(f=0.1), 2)
+
+    @pytest.mark.parametrize("solved_first", [False, True])
+    def test_rejects_non_int_truncation(self, solved_first):
+        # 12.0 hashes and compares equal to 12: after a D=12 solve liouvillian
+        # finds _layout's cached entry, and h_eff_stack's array shapes reject it
+        p = SystemParams(f=0.1)
+        blockade.steady._layout.cache_clear()
+        if solved_first:
+            steady_state(p, 12)
+        for entry in (steady_state, liouvillian, build_h_eff):
+            with pytest.raises(TypeError):
+                entry(p, 12.0)
+        for dim in (np.int64(12), True):  # no DensityMatrix of such a dim
+            with pytest.raises(TypeError, match="must be an integer"):
+                steady_state(p, dim)
+        # no float truncation was cached
+        assert blockade.steady._layout.cache_info().currsize == int(solved_first)
+
+    def test_liouvillian_rejects_empty_truncation(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            liouvillian(SystemParams(f=0.1), 0)
 
     def test_physicality_on_random_draws(self):
         rng = np.random.default_rng(59)
         for _ in range(20):
-            rho = steady_state(random_params(rng), FockSpace(16)).entries
+            rho = steady_state(random_params(rng), 16).entries
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
             assert abs(np.trace(rho) - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(rho)[0] >= -1e-8
 
     def test_observables_invariant_under_full_phase_turn(self):
         p = SystemParams(delta=0.3, u=0.7, g=0.04, f=0.12, phi=0.9)
-        obs_a = observables(steady_state(p, FockSpace(14)))
-        obs_b = observables(steady_state(p.replace(phi=p.phi + 2 * math.pi), FockSpace(14)))
+        obs_a = observables(steady_state(p, 14))
+        obs_b = observables(steady_state(p.replace(phi=p.phi + 2 * math.pi), 14))
         assert obs_a.mean_photon == pytest.approx(obs_b.mean_photon, abs=1e-12)
         assert obs_a.g2 == pytest.approx(obs_b.g2, abs=1e-12)
         np.testing.assert_allclose(obs_a.populations, obs_b.populations, atol=1e-12)
@@ -397,8 +418,8 @@ class TestSteadyState:
                 f=float(rng.uniform(0.05, 0.2)),
                 phi=float(rng.uniform(0, 2 * math.pi)),
             )
-            n_a = observables(steady_state(p, FockSpace(14))).mean_photon
-            n_b = observables(steady_state(p.replace(phi=p.phi + math.pi), FockSpace(14))).mean_photon
+            n_a = observables(steady_state(p, 14)).mean_photon
+            n_b = observables(steady_state(p.replace(phi=p.phi + math.pi), 14)).mean_photon
             assert n_a == pytest.approx(n_b, abs=1e-9)
 
     def test_blockade_survives_around_optimal_curve(self):
@@ -506,6 +527,11 @@ class TestObservables:
         assert obs.g2 is None and obs.lg_n is None and obs.lg_g2 is None
         assert obs.populations[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [3.0, True])
+    def test_density_matrix_rejects_non_int_dim(self, dim):
+        with pytest.raises(TypeError, match="dim must be an integer"):
+            DensityMatrix(dim=dim, entries=np.eye(int(dim)) / int(dim))
+
     def test_population_below_tolerance_is_rejected(self):
         # DensityMatrix admits this eigenvalue; observables() still raises
         rho = DensityMatrix(dim=3, entries=np.diag([1 + 5e-9, 0.0, -5e-9]))
@@ -520,7 +546,7 @@ class TestObservables:
             Observables([0.5, 0.5, bad])
 
     def test_populations_sum_to_one(self):
-        rho = steady_state(SystemParams(f=0.2, u=0.3), FockSpace(14))
+        rho = steady_state(SystemParams(f=0.2, u=0.3), 14)
         obs = observables(rho)
         assert sum(obs.populations) == pytest.approx(1.0, abs=1e-9)
         assert obs.mean_photon == pytest.approx(
@@ -767,9 +793,9 @@ class TestExactSymmetries:
     @given(p=weak_drive_params, dim=st.integers(3, 24))
     def test_populations_invariant_at_fixed_truncation(self, p, dim):
         # to 1e-12 of the unit trace: the far tail sits at solver noise
-        reference = observables(steady_state(p, FockSpace(dim))).populations
+        reference = observables(steady_state(p, dim)).populations
         for partner in symmetric_partners(p):
-            populations = observables(steady_state(partner, FockSpace(dim))).populations
+            populations = observables(steady_state(partner, dim)).populations
             np.testing.assert_allclose(populations, reference, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -820,7 +846,7 @@ class TestExactKerrOracle:
     def test_matches_solver_at_large_truncation(self, u, delta, f):
         p = SystemParams(u=u, delta=delta, f=f, phi=0.7)
         n1, n2 = exact_kerr_moments(p)
-        obs = observables(steady_state(p, FockSpace(48)))
+        obs = observables(steady_state(p, 48))
         assert obs.mean_photon == pytest.approx(n1, rel=1e-12)
         assert obs.g2 == pytest.approx(n2 / n1**2, rel=1e-12)
 
@@ -856,7 +882,7 @@ class TestEvolutionOracle:
             dim = 12
             rho_evolved = DensityMatrix(dim=dim, entries=rk4_steady(p, dim))
             obs_t = observables(rho_evolved)
-            obs_s = observables(steady_state(p, FockSpace(dim)))
+            obs_s = observables(steady_state(p, dim))
             assert obs_t.mean_photon == pytest.approx(obs_s.mean_photon, abs=1e-6)
             assert obs_t.g2 == pytest.approx(obs_s.g2, abs=1e-6)
             np.testing.assert_allclose(obs_t.populations, obs_s.populations, atol=1e-6)

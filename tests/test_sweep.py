@@ -173,6 +173,22 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(SystemParams(), axes, workers=1)
 
+    @pytest.mark.parametrize(
+        "axes, error, message",
+        [
+            ([], ValueError, "one or two axes, got 0"),
+            ([GridAxis.linear("f", 0.0, 0.1, 2)] * 3, ValueError, "one or two axes, got 3"),
+            (["f:0:0.1:2"], TypeError, "GridAxis instances"),
+            ([GridAxis.linear("f", -0.1, 0.1, 3)], ValueError, "f must be non-negative, got -0.1"),
+        ],
+    )
+    def test_check_grid_rejects_before_solving(self, monkeypatch, axes, error, message):
+        never_solve(monkeypatch)
+        with pytest.raises(error, match=message):
+            sweep.check_grid(SystemParams(), axes)
+        with pytest.raises(error, match=message):
+            run_sweep(SystemParams(), axes, workers=1)
+
     def test_per_point_failures_do_not_abort(self):
         # tol = 0 is unreachable, so every point fails and is marked FAIL
         axes = [GridAxis.linear("f", 0.1, 0.2, 2), GridAxis.linear("g", 0.0, 0.02, 2)]
