@@ -58,6 +58,16 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
+def check_dim(dim) -> None:
+    """Reject a truncation that is no positive int.  A float, a bool or a
+    numpy integer is a TypeError: 12.0 and np.int64(12) would otherwise
+    find the cached layout of 12."""
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TypeError(f"truncation dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"truncation dimension must be positive, got {dim}")
+
+
 def h_eff_stack(points, dim: int) -> np.ndarray:
     """build_h_eff for each of the points, as one (B, dim, dim) array.
 
@@ -67,6 +77,7 @@ def h_eff_stack(points, dim: int) -> np.ndarray:
     sqrt(m+1) at (m, m+1), aa has sqrt(m+1) sqrt(m+2) at (m, m+2), and
     a' = a.T.
     """
+    check_dim(dim)
     delta, u, g, f, phi = (
         np.array([getattr(p, name) for p in points])[:, None] for name in ("delta", "u", "g", "f", "phi")
     )

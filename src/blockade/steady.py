@@ -19,14 +19,15 @@ unless the first solve, at D=18, already holds a negligible share of N and
 <a'a'aa> in the number states n >= 12 that D=12 cannot represent.
 
 Every solve goes through one batch engine (converge_batch): up to BATCH
-points climb their ladders together, and the points waiting for the same
-truncation are solved as one batch (_rung).  A batch fills the data of all
-its Liouvillians in one sparse product and makes its norms, residuals,
-physicality checks, observables and tail shares as stack operations; only
-the SuperLU factor, its condition estimate and the answer's solve are made
-point by point.  A point leaves its batch once its outcome is known, and
-every outcome is the same, bit for bit, whatever else shares the batch;
-converged_steady_state and steady_state are the one-point cases.
+points walk the one ladder together, and at each truncation the points
+still climbing are solved as one batch (_rung).  A batch fills the data of
+all its Liouvillians in one sparse product and makes its norms,
+residuals, physicality checks, observables and tail shares as operations
+on one stack; only the SuperLU factor, its condition estimate and the
+answer's solve are made point by point.  A point leaves its batch once its
+outcome is known, and every outcome is the same, bit for bit, whatever
+else shares the batch; converged_steady_state and steady_state are the
+one-point cases.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy.sparse import csc_array, csr_array
 from scipy.sparse.linalg import splu
 
 # build_h_eff is not called here; bench/tracing.py looks it up on this module.
-from .model import SystemParams, build_h_eff, h_eff_stack  # noqa: F401
+from .model import SystemParams, build_h_eff, check_dim, h_eff_stack  # noqa: F401
 
 # Below this mean photon number, g2 is a 0/0 ratio and reported undefined.
 PHOTON_FLOOR = 1e-12
@@ -238,8 +239,6 @@ def _layout(d: int):
     kappa), whose trailing kappa fills every trace-row entry; its CSC index
     arrays; and the right-hand side P e_0.  All but h_to_data are read-only.
     """
-    if d < 1:
-        raise ValueError(f"truncation dimension must be positive, got {d}")
     n = np.arange(d)
     ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
     spectator = n[:, None]
@@ -395,8 +394,8 @@ def _liouvillian_data(points, d: int) -> np.ndarray:
     """The data of L for each of the points, a (B, nnz) array in the CSR
     order of _layout(d): one sparse product for the stack of Hamiltonians,
     plus kappa times the damping."""
+    h_stack = h_eff_stack(points, d).reshape(len(points), d * d)  # checks d before _layout
     _, _, h_to_data, decay, *_ = _layout(d)
-    h_stack = h_eff_stack(points, d).reshape(len(points), d * d)
     data = np.empty((len(points), decay.size), dtype=complex)
     np.multiply.outer([p.kappa for p in points], decay, out=data)
     data += (h_to_data @ h_stack.T).T
@@ -409,8 +408,8 @@ def liouvillian(p: SystemParams, dim: int) -> csr_array:
     A sparse CSR matrix whose index arrays are shared, read-only, by every
     call at the same truncation.
     """
-    indices, indptr, *_ = _layout(dim)
     (data,) = _liouvillian_data([p], dim)
+    indices, indptr, *_ = _layout(dim)
     return csr_array((data, indices, indptr), shape=(dim * dim, dim * dim))
 
 
@@ -486,75 +485,6 @@ def _factor_and_solve(data: np.ndarray, kappa: list, scale: list, d: int):
     return errors, vecs
 
 
-def _residuals(data: np.ndarray, rho: np.ndarray) -> list[float]:
-    """max |L vec(rho)| for each row of L data and matrix of the rho stack."""
-    d = rho.shape[1]
-    indices, indptr, *_ = _layout(d)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its checks
-        products = rho.transpose(0, 2, 1).reshape(len(rho), d * d).take(indices, axis=1)
-        products *= data  # each L entry times the vec(rho) entry it multiplies
-        return np.abs(np.add.reduceat(products, indptr[:-1], axis=1)).max(axis=1).tolist()
-
-
-def _solve_states(points, d: int) -> list:
-    """The steady state of each of the points at truncation d: a
-    DensityMatrix, or the SteadyStateError that rejects it (unraised).
-
-    The batch's Liouvillian data, norms, residuals and physicality checks
-    are stack operations; only the factor, its condition estimate and the
-    answer's solve are made point by point (_factor_and_solve).
-    """
-    if not isinstance(d, int) or isinstance(d, bool):  # as DensityMatrix requires
-        raise TypeError(f"truncation dimension must be an integer, got {d!r}")
-    if d < 3:
-        raise ValueError(f"truncation dimension must be at least 3, got {d}")
-    _, indptr, *_ = _layout(d)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        data = _liouvillian_data(points, d)
-        # every row stores its diagonal entry, so no row of the pattern is empty
-        scale = np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1).tolist()  # ||L||_inf
-    states, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d)
-
-    solved = [i for i, state in enumerate(states) if state is None]
-    if not solved:
-        return states
-    # row-major, each vec(rho) reads as rho^T
-    rho = vecs[solved].reshape(-1, d, d).transpose(0, 2, 1)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    rho = np.ascontiguousarray(rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None])
-    rho.setflags(write=False)
-
-    residuals = _residuals(data if len(solved) == len(points) else data[solved], rho)
-    for j, (i, residual, defect) in enumerate(zip(solved, residuals, _unphysical(rho))):
-        if residual > 1e-9 * scale[i]:
-            states[i] = _failure(f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}")
-        elif defect is not None:
-            states[i] = _failure(f"unphysical steady state at dim={d}: {defect}", ValueError(defect))
-        else:
-            states[i] = _trusted(DensityMatrix, dim=d, entries=rho[j])
-    return states
-
-
-def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
-    """Unique steady state of the master equation at truncation dim (at least 3).
-
-    Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
-    the vectorized trace functional times kappa, so that A scales with the
-    rates and no guard depends on the unit of time, and the square system A
-    is solved by sparse LU (SuperLU) while every OpenBLAS in the process is
-    held to one thread (counts restored on return).  A system that
-    overflows double precision, an exactly singular factor, or a reciprocal
-    1-norm condition estimate below 1e-14 raises SteadyStateError rather
-    than returning digits that are mostly noise, as does a residual above
-    1e-9 ||L||_inf or an unphysical DensityMatrix.  The one-point batch of
-    the engine's solve.
-    """
-    states = _solve_states([p], dim)
-    if isinstance(states[0], SteadyStateError):
-        raise states.pop()  # popped: a local holding it would cycle through its traceback
-    return states[0]
-
-
 def observables(rho: DensityMatrix) -> Observables:
     """Mean photon number, g2(0), their base-10 logs and the populations."""
     return Observables(np.real(np.diag(rho.entries)))
@@ -589,21 +519,72 @@ def _tail_shares(pops: np.ndarray) -> np.ndarray:
     return np.maximum(n_share, pair_share)
 
 
-def _rung(points, dim: int) -> list:
+def _rung(points, d: int) -> list:
     """The batched rung: for each of the points, (rho, obs, tail share) at
-    truncation dim, or the SteadyStateError that rejects it (unraised)."""
-    results = _solve_states(points, dim)
-    solved = [i for i, state in enumerate(results) if isinstance(state, DensityMatrix)]
-    if solved:
-        # a copy of the states with the stride a single DensityMatrix has, so
-        # each row's moments round as observables(rho) would
-        pops = np.diagonal(np.array([results[i].entries for i in solved]), axis1=1, axis2=2).real
-        for i, obs, share in zip(solved, _observables(pops), _tail_shares(pops).tolist()):
-            if isinstance(obs, ValueError):
-                results[i] = _failure(f"unphysical observables at dim={dim}: {obs}", obs)
-            else:
-                results[i] = (results[i], obs, share)
+    truncation d, or the SteadyStateError that rejects it (unraised).
+
+    The batch's Liouvillian data, norms, residuals, physicality checks,
+    observables and tail shares are operations on one contiguous stack; only
+    the factor, its condition estimate and the answer's solve are made
+    point by point (_factor_and_solve).
+    """
+    check_dim(d)
+    if d < 3:
+        raise ValueError(f"truncation dimension must be at least 3, got {d}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        data = _liouvillian_data(points, d)
+        indices, indptr, *_ = _layout(d)
+        # every row stores its diagonal entry, so no row of the pattern is empty
+        scale = np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1).tolist()  # ||L||_inf
+    results, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d)
+
+    solved = [i for i, error in enumerate(results) if error is None]
+    if not solved:
+        return results
+    # row-major, each vec(rho) reads as rho^T
+    rho = vecs[solved].reshape(-1, d, d).transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    rho = np.ascontiguousarray(rho / np.real(np.trace(rho, axis1=1, axis2=2))[:, None, None])
+    rho.setflags(write=False)
+    # each row has the stride of a single DensityMatrix's diagonal, so its
+    # moments round as observables(rho) would
+    pops = np.diagonal(rho, axis1=1, axis2=2).real
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state fails its checks
+        # max |L vec(rho)|: each L entry times the vec(rho) entry it multiplies
+        products = rho.transpose(0, 2, 1).reshape(len(solved), d * d).take(indices, axis=1)
+        products *= data if len(solved) == len(points) else data[solved]
+        residuals = np.abs(np.add.reduceat(products, indptr[:-1], axis=1)).max(axis=1).tolist()
+        checked = _unphysical(rho), _observables(pops), _tail_shares(pops).tolist()
+    for j, (i, residual, defect, obs, share) in enumerate(zip(solved, residuals, *checked)):
+        if residual > 1e-9 * scale[i]:
+            results[i] = _failure(f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}")
+        elif defect is not None:
+            results[i] = _failure(f"unphysical steady state at dim={d}: {defect}", ValueError(defect))
+        elif isinstance(obs, ValueError):
+            results[i] = _failure(f"unphysical observables at dim={d}: {obs}", obs)
+        else:
+            results[i] = _trusted(DensityMatrix, dim=d, entries=rho[j]), obs, share
     return results
+
+
+def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
+    """Unique steady state of the master equation at truncation dim (at least 3).
+
+    Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
+    the vectorized trace functional times kappa, so that A scales with the
+    rates and no guard depends on the unit of time, and the square system A
+    is solved by sparse LU (SuperLU) while every OpenBLAS in the process is
+    held to one thread (counts restored on return).  A system that
+    overflows double precision, an exactly singular factor, or a reciprocal
+    1-norm condition estimate below 1e-14 raises SteadyStateError rather
+    than returning digits that are mostly noise, as does a residual above
+    1e-9 ||L||_inf, an unphysical DensityMatrix, or populations that
+    Observables rejects.  The one-point _rung.
+    """
+    results = _rung([p], dim)
+    if isinstance(results[0], SteadyStateError):
+        raise results.pop()  # popped: a local holding it would cycle through its traceback
+    return results[0][0]
 
 
 def check_ladder(tol: float, max_dim: int) -> None:
@@ -614,73 +595,58 @@ def check_ladder(tol: float, max_dim: int) -> None:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
 
 
-def _climb(p: SystemParams, tol: float, max_dim: int):
-    """converged_steady_state's rule for one point, as a generator: yields
-    each truncation it needs, is sent that rung's _rung result, and returns
-    the outcome, (rho, obs, dim) or the SteadyStateError (unraised)."""
-    threshold = math.hypot(p.delta, 0.5 * p.kappa)
-    if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
-        return ConvergenceError(
-            f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
-            f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
-        )
-
-    ahead = None
-    if max_dim >= CERTIFY_DIM:
-        ahead = yield CERTIFY_DIM
-        # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
-        if not isinstance(ahead, SteadyStateError):
-            rho, obs, share = ahead
-            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-            if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
-                return rho, obs, CERTIFY_DIM
-
-    previous: Observables | None = None
-    before_previous: Observables | None = None
-    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        result = ahead if dim == CERTIFY_DIM else (yield dim)
-        if isinstance(result, SteadyStateError):
-            return result
-        rho, obs, _ = result
-        if obs.mean_photon < PHOTON_FLOOR:
-            return rho, obs, dim
-        if previous is not None and _lg_gap(previous, obs) < tol:
-            return rho, obs, dim
-        before_previous = previous
-        previous = obs
-    return ConvergenceError(
-        f"observables not settled to tol={tol} at dim={dim}",
-        previous=before_previous,
-        last=previous,
-    )
-
-
 def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_MAX_DIM) -> list:
     """converged_steady_state for each of at most BATCH points, solved together.
 
     Returns, for each point, (rho, obs, dim) or the SteadyStateError it
-    would raise, unraised.  Every point climbs its own ladder; at each step
-    the points waiting for the same truncation are solved as one _rung
-    batch, and a point leaves as soon as its outcome is known.  A NaN or
+    would raise, unraised.  Every point follows the same ladder, so the
+    batch walks it once: each step solves the points still climbing as one
+    _rung, and a point leaves as soon as its outcome is known.  A NaN or
     negative tol, or a max_dim below 12, is a ValueError.
     """
     check_ladder(tol, max_dim)
     if len(points) > BATCH:
         raise ValueError(f"a batch holds at most {BATCH} points, got {len(points)}")
     outcomes: list = [None] * len(points)
-    climbs = {i: _climb(p, tol, max_dim) for i, p in enumerate(points)}
-    sent = dict.fromkeys(climbs)
-    while climbs:
-        waiting = {}
-        for i, climb in list(climbs.items()):
-            try:
-                waiting[i] = climb.send(sent[i])
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-                del climbs[i]
-        for dim in sorted(set(waiting.values())):
-            group = [i for i, wanted in waiting.items() if wanted == dim]
-            sent.update(zip(group, _rung([points[i] for i in group], dim)))
+    for i, p in enumerate(points):
+        threshold = math.hypot(p.delta, 0.5 * p.kappa)
+        if p.u == 0.0 and 2.0 * abs(p.g) >= threshold:
+            outcomes[i] = ConvergenceError(
+                f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
+                f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
+            )
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+
+    ahead = {}
+    if live and max_dim >= CERTIFY_DIM:
+        ahead = dict(zip(live, _rung([points[i] for i in live], CERTIFY_DIM)))
+        for i, result in ahead.items():
+            # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
+            if isinstance(result, SteadyStateError):
+                continue
+            rho, obs, share = result
+            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+            if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
+                outcomes[i] = rho, obs, CERTIFY_DIM
+        live = [i for i in live if outcomes[i] is None]
+
+    last_two = dict.fromkeys(live, (None, None))  # each point's last two Observables
+    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
+        if not live:
+            break
+        results = [ahead[i] for i in live] if dim == CERTIFY_DIM else _rung([points[i] for i in live], dim)
+        for i, result in zip(live, results):
+            if isinstance(result, SteadyStateError):
+                outcomes[i] = result
+                continue
+            rho, obs, _ = result
+            previous = last_two[i][1]
+            if obs.mean_photon < PHOTON_FLOOR or (previous is not None and _lg_gap(previous, obs) < tol):
+                outcomes[i] = rho, obs, dim
+            last_two[i] = previous, obs
+        live = [i for i in live if outcomes[i] is None]
+    for i in live:
+        outcomes[i] = ConvergenceError(f"observables not settled to tol={tol} at dim={dim}", *last_two[i])
     return outcomes
 
 

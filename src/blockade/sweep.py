@@ -14,8 +14,9 @@ engine can fan them out over a process pool, whose workers take whole
 batches, at least about eight per worker (smaller ones on small grids);
 results are always assembled in grid order, making output independent of
 the degree of parallelism.  The BLOCKADE_THREADS environment variable sets
-the requested pool size (default: machine CPU count); the pool never holds
-more processes than the machine has CPUs or the grid has points.
+the requested pool size (default: the CPUs this process may run on, its
+affinity set where the OS has one); the pool never holds more processes
+than there are such CPUs or the grid has points.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def _evaluate_batch(points, tol: float, max_dim: int) -> list[SweepRow]:
     return rows
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
         env = os.environ.get("BLOCKADE_THREADS", "").strip()
@@ -139,7 +145,7 @@ def _resolve_workers(workers: int | None) -> int:
             except ValueError:
                 raise ValueError(f"BLOCKADE_THREADS must be an integer, got {env!r}") from None
         else:
-            workers = os.cpu_count() or 1
+            workers = _cpu_count()
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     return workers
@@ -187,7 +193,7 @@ def run_sweep(
     check_ladder(tol, max_dim)
     evaluate = partial(_evaluate_batch, tol=tol, max_dim=max_dim)
 
-    n_workers = min(_resolve_workers(workers), os.cpu_count() or 1, len(points))
+    n_workers = min(_resolve_workers(workers), _cpu_count(), len(points))
     pooled = n_workers > 1 and len(points) >= 4
     size = min(BATCH, max(1, len(points) // (8 * n_workers))) if pooled else BATCH
     batches = [points[i : i + size] for i in range(0, len(points), size)]

@@ -159,11 +159,11 @@ def force_unphysical(monkeypatch):
 
 
 def fail_at(monkeypatch, dim, victims=None):
-    """Make the batched solve (steady._solve_states, behind steady_state and
-    every rung of a batch) at truncation dim reject each of the victims, or
-    every point if victims is None, with SteadyStateError; every other
-    point and truncation solves as before."""
-    solve = blockade.steady._solve_states
+    """Make the batched rung (steady._rung, behind steady_state and every
+    rung of a batch) at truncation dim reject each of the victims, or every
+    point if victims is None, with SteadyStateError; every other point and
+    truncation solves as before."""
+    solve = blockade.steady._rung
 
     def failing(points, d):
         states = solve(points, d)
@@ -175,36 +175,35 @@ def fail_at(monkeypatch, dim, victims=None):
             for p, state in zip(points, states)
         ]
 
-    monkeypatch.setattr(blockade.steady, "_solve_states", failing)
+    monkeypatch.setattr(blockade.steady, "_rung", failing)
 
 
 def force_unphysical_observables(monkeypatch):
-    """Make every batched solve return states that DensityMatrix accepts but
-    Observables rejects: a population of -5e-9 is inside the eigenvalue
-    tolerance (-1e-8) and outside the population one (-1e-10)."""
-    entries = np.diag([1 + 5e-9, 0.0, -5e-9])
+    """Make Observables reject the populations of every state that
+    DensityMatrix accepts, as it rejects a population of -5e-9: inside the
+    eigenvalue tolerance (-1e-8) and outside the population one (-1e-10)."""
 
-    def solve(points, dim):
-        return [blockade.steady.DensityMatrix(dim=3, entries=entries) for _ in points]
+    def reject(pops):
+        return [ValueError("populations outside [0, 1] beyond tolerance") for _ in pops]
 
-    monkeypatch.setattr(blockade.steady, "_solve_states", solve)
+    monkeypatch.setattr(blockade.steady, "_observables", reject)
 
 
 def never_solve(monkeypatch):
-    """Make any batched solve fail the test."""
+    """Make any batched rung fail the test."""
 
     def solve(points, dim):
         raise AssertionError(f"a batch of {len(points)} solved at dim={dim}")
 
-    monkeypatch.setattr(blockade.steady, "_solve_states", solve)
+    monkeypatch.setattr(blockade.steady, "_rung", solve)
 
 
 def record_rungs(monkeypatch):
-    """Record every later batched solve.  Returns (rungs, batches): the
+    """Record every later batched rung.  Returns (rungs, batches): the
     truncations solved for each point, in order, keyed by its SystemParams,
     and each batch's (dim, number of points)."""
     rungs, batches = defaultdict(list), []
-    solve = blockade.steady._solve_states
+    solve = blockade.steady._rung
 
     def recording(points, dim):
         batches.append((dim, len(points)))
@@ -212,7 +211,7 @@ def record_rungs(monkeypatch):
             rungs[p].append(dim)
         return solve(points, dim)
 
-    monkeypatch.setattr(blockade.steady, "_solve_states", recording)
+    monkeypatch.setattr(blockade.steady, "_rung", recording)
     return rungs, batches
 
 

@@ -17,7 +17,7 @@ from helpers import fail_at, record_rungs
 
 import blockade.steady
 from blockade.model import SystemParams
-from blockade.steady import BATCH, SteadyStateError, converge_batch, converged_steady_state
+from blockade.steady import BATCH, ConvergenceError, SteadyStateError, converge_batch, converged_steady_state
 from blockade.sweep import GridAxis, run_sweep
 
 
@@ -86,6 +86,28 @@ class TestBatchEngine:
             assert "FAIL" in statuses and "OK" in statuses  # u = 0, |g| = 0.3
             if f == 1.5:
                 assert any(len(rungs[row.params]) > 2 for row in result.rows)
+
+    def test_one_batch_walks_the_ladder_once(self, monkeypatch):
+        # the vacuum stops at 12, a weak drive is certified at 18, two bright
+        # drives climb to 24 and 36, and a Kerr-free point above the gain
+        # threshold is never solved
+        points = [
+            SystemParams(u=0.4, delta=-1.0),
+            SystemParams(u=0.5, f=0.1),
+            SystemParams(f=1.0),
+            SystemParams(f=2.0, delta=0.3),
+            SystemParams(g=0.3, f=0.1),
+        ]
+        rungs, batches = record_rungs(monkeypatch)
+        outcomes = converge_batch(points)
+        dims = [dim for dim, _ in batches]
+        sizes = [size for _, size in batches]
+        assert len(set(dims)) == len(dims)  # no truncation is solved twice
+        assert sizes == sorted(sizes, reverse=True)  # points only ever leave
+        assert [outcome[2] for outcome in outcomes[:4]] == [12, 18, 24, 36]
+        assert isinstance(outcomes[4], ConvergenceError) and points[4] not in rungs
+        assert batches == [(18, 4), (12, 3), (24, 2), (30, 1), (36, 1)]
+        assert rungs[points[3]] == [18, 12, 24, 30, 36]
 
     @pytest.mark.parametrize("victim_index, dim", [(3, 18), (6, 24)])
     def test_failure_at_one_rung_leaves_its_batch_mates_unchanged(self, monkeypatch, victim_index, dim):

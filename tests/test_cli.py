@@ -288,7 +288,7 @@ class TestExitCodes:
             raise ValueError("stray value error")
 
         monkeypatch.setenv("BLOCKADE_THREADS", "1")
-        monkeypatch.setattr(blockade.steady, "_solve_states", stray)
+        monkeypatch.setattr(blockade.steady, "_rung", stray)
         with pytest.raises(ValueError, match="stray value error"):
             main(argv)
         assert "usage error" not in capsys.readouterr().err

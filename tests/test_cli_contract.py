@@ -100,7 +100,7 @@ configs = st.one_of(
 def watch_solves():
     """Collect every ValueError raised out of a batched solve or its observables."""
     errors = []
-    originals = {name: getattr(blockade.steady, name) for name in ("_solve_states", "_rung")}
+    originals = {name: getattr(blockade.steady, name) for name in ("_rung",)}
 
     def watched(solve):
         def call(*args):

@@ -373,8 +373,8 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("solved_first", [False, True])
     def test_rejects_non_int_truncation(self, solved_first):
-        # 12.0 hashes and compares equal to 12: after a D=12 solve liouvillian
-        # finds _layout's cached entry, and h_eff_stack's array shapes reject it
+        # 12.0 hashes and compares equal to 12: after a D=12 solve it would
+        # find _layout's cached entry, so it is rejected before _layout
         p = SystemParams(f=0.1)
         blockade.steady._layout.cache_clear()
         if solved_first:
@@ -387,6 +387,28 @@ class TestSteadyState:
                 steady_state(p, dim)
         # no float truncation was cached
         assert blockade.steady._layout.cache_info().currsize == int(solved_first)
+
+    @pytest.mark.parametrize("solved_first", [False, True])
+    def test_every_entry_point_checks_the_truncation_type(self, solved_first):
+        # one check ahead of _layout's cache, which 12.0 and np.int64(12)
+        # would hit for 12's entry
+        p = SystemParams(f=0.1)
+        blockade.steady._layout.cache_clear()
+        if solved_first:
+            steady_state(p, 12)
+        for entry in (steady_state, liouvillian, build_h_eff):
+            for dim in (12.0, np.int64(12), True):
+                with pytest.raises(TypeError, match="truncation dimension must be an integer"):
+                    entry(p, dim)
+        assert blockade.steady._layout.cache_info().currsize == int(solved_first)
+
+    def test_unphysical_observables_fail_the_solve(self, monkeypatch):
+        # populations that Observables rejects fail steady_state itself, as
+        # they fail every rung of converged_steady_state
+        force_unphysical_observables(monkeypatch)
+        with pytest.raises(SteadyStateError, match="unphysical observables at dim=12") as excinfo:
+            steady_state(SystemParams(f=0.1), 12)
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_liouvillian_rejects_empty_truncation(self):
         with pytest.raises(ValueError, match="must be positive"):
@@ -640,15 +662,15 @@ def ladder_outcome(solve, p, tol, max_dim):
 
 
 def record_solves(monkeypatch):
-    """Dims of every later batched solve, in order."""
+    """Dims of every later batched rung, in order."""
     dims = []
-    solve = blockade.steady._solve_states
+    solve = blockade.steady._rung
 
     def recording(points, dim):
         dims.append(dim)
         return solve(points, dim)
 
-    monkeypatch.setattr(blockade.steady, "_solve_states", recording)
+    monkeypatch.setattr(blockade.steady, "_rung", recording)
     return dims
 
 

@@ -2,6 +2,9 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -162,11 +165,43 @@ class TestRunSweep:
                 return map(fn, iterable)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: cpus)
         monkeypatch.setenv("BLOCKADE_THREADS", "500")
         result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 5)])
         assert sizes == [expected]
         assert len(result.rows) == 5
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+    def test_one_cpu_affinity_starts_no_pool(self):
+        # a child process narrows its own affinity to one CPU, as taskset or a
+        # cpuset would; os.cpu_count() still counts every CPU of the machine
+        code = textwrap.dedent(
+            """
+            import os
+            from blockade import sweep
+            from blockade.model import SystemParams
+
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+            def no_pool(max_workers):
+                raise AssertionError(f"a pool of {max_workers} was started")
+
+            sweep.ProcessPoolExecutor = no_pool
+            axes = [sweep.GridAxis.linear("delta", 0.0, 1.0, 8)]
+            for workers in (None, 2):
+                rows = sweep.run_sweep(SystemParams(f=0.1), axes, workers=workers).rows
+                assert [row.status for row in rows] == ["OK"] * 8
+            print(sweep._cpu_count())
+            """
+        )
+        env = {name: value for name, value in os.environ.items() if name != "BLOCKADE_THREADS"}
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
 
     def test_rejects_duplicate_parameters(self):
         axes = [GridAxis.linear("f", 0.0, 0.1, 2), GridAxis.linear("f", 0.0, 0.2, 2)]
@@ -234,7 +269,7 @@ class TestRunSweep:
             return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", spawned_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 on any host
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)  # a pool of 2 on any host
         pooled = run_sweep(base, axes, workers=2)
         assert pools == [2]
         assert pooled.rows == serial.rows
