@@ -111,8 +111,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise TypeError(f"dim must be an integer, got {self.dim!r}")
+        check_dim(self.dim)
         entries = np.array(self.entries, dtype=complex)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")

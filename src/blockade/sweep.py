@@ -8,15 +8,13 @@ standard survey figures; ranges the source figures leave unstated are
 documented defaults here and remain overridable by the caller.
 
 The grid's points go through the batch engine (steady.converge_batch) in
-consecutive batches of at most steady.BATCH points; a point's row does not
-depend on which batch holds it.  The batches are independent, so the
-engine can fan them out over a process pool, whose workers take whole
-batches, at least about eight per worker (smaller ones on small grids);
-results are always assembled in grid order, making output independent of
-the degree of parallelism.  The BLOCKADE_THREADS environment variable sets
-the requested pool size (default: the CPUs this process may run on, its
-affinity set where the OS has one); the pool never holds more processes
-than there are such CPUs or the grid has points.
+consecutive batches of steady.BATCH points; a point's row does not depend
+on which batch holds it.  The batches are independent, so a process pool
+can share them out.  Its size is the one requested (BLOCKADE_THREADS,
+default: the CPUs this process may run on, its affinity set where the OS
+has one), capped by those CPUs and by one worker per _BATCHES_PER_WORKER
+batches, so a grid too small for 2 workers runs in this process.  Rows are
+assembled in grid order, so output does not depend on the pool.
 """
 
 from __future__ import annotations
@@ -39,6 +37,10 @@ from .steady import BATCH, DEFAULT_MAX_DIM, DEFAULT_TOL, SteadyStateError, check
 from .steady import converged_steady_state  # noqa: F401
 
 SWEEPABLE_PARAMS = ("delta", "u", "g", "f", "phi")
+
+# Fewest batches per pool worker: with fewer, starting and feeding 2 workers
+# cost more than they saved on fig1a grids (measured pairs in CHANGES.md).
+_BATCHES_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,10 @@ def run_sweep(
     check_ladder(tol, max_dim)
     evaluate = partial(_evaluate_batch, tol=tol, max_dim=max_dim)
 
-    n_workers = min(_resolve_workers(workers), _cpu_count(), len(points))
-    pooled = n_workers > 1 and len(points) >= 4
-    size = min(BATCH, max(1, len(points) // (8 * n_workers))) if pooled else BATCH
-    batches = [points[i : i + size] for i in range(0, len(points), size)]
-    if pooled:
-        chunk = max(1, len(batches) // (8 * n_workers))
+    batches = [points[i : i + BATCH] for i in range(0, len(points), BATCH)]
+    n_workers = min(_resolve_workers(workers), _cpu_count(), len(batches) // _BATCHES_PER_WORKER)
+    if n_workers > 1:
+        chunk = len(batches) // (_BATCHES_PER_WORKER * n_workers)
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             solved = list(pool.map(evaluate, batches, chunksize=chunk))
     else:

@@ -15,9 +15,11 @@ from helpers import force_unphysical, force_unphysical_observables, never_solve
 from blockade import sweep
 from blockade.analytic import optimal_g
 from blockade.model import SystemParams
+from blockade.steady import BATCH
 from blockade.sweep import GridAxis, preset, run_sweep
 
 PI = math.pi
+BATCHES_PER_WORKER = sweep._BATCHES_PER_WORKER
 FIG1A_AXES = [("f", 0.01, 0.3, 101, None), ("g", -0.05, 0.2, 101, None)]
 
 # Every preset as (base parameters, axes as (param, min, max, count, values)),
@@ -96,6 +98,36 @@ class TestGridAxis:
             GridAxis("f", (0.0, math.nan, 1.0))
 
 
+def unstable_axis(count):
+    """A g axis wholly above the Kerr-free gain threshold 0.25: every point
+    fails without a solve, so a grid of many batches costs next to nothing."""
+    return GridAxis.linear("g", 0.3, 0.5, count)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The size of every pool run_sweep starts.  A stand-in executor records
+    it and maps in-process, so no worker process is ever started."""
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
+
+
 class TestRunSweep:
     def test_zero_drive_rows_flag_undefined_g2(self):
         base = SystemParams()
@@ -130,11 +162,24 @@ class TestRunSweep:
         rows_b = run_sweep(base, axes, workers=1).rows
         assert rows_a == rows_b
 
-    def test_parallel_serial_equivalence(self):
+    def test_parallel_serial_equivalence(self, monkeypatch):
         base = SystemParams(u=0.5, phi=math.pi / 12)
-        axes = [GridAxis.linear("f", 0.05, 0.15, 3), GridAxis.linear("g", 0.0, 0.03, 3)]
+        # the smallest grid a pool of 2 takes: 2 * _BATCHES_PER_WORKER batches
+        axes = [
+            GridAxis.linear("f", 0.05, 0.15, 2 * BATCH),
+            GridAxis.linear("g", 0.0, 0.03, BATCHES_PER_WORKER),
+        ]
         rows_serial = run_sweep(base, axes, workers=1).rows
+        pools = []
+
+        def recorded_pool(max_workers):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", recorded_pool)
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)  # a pool of 2 on any host
         rows_parallel = run_sweep(base, axes, workers=2).rows
+        assert pools == [2]
         assert rows_serial == rows_parallel
 
     def test_env_var_caps_workers(self, monkeypatch):
@@ -146,30 +191,22 @@ class TestRunSweep:
             run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)])
 
     @pytest.mark.parametrize("cpus, expected", [(64, 5), (3, 3)])
-    def test_pool_capped_by_cpus_and_points(self, monkeypatch, cpus, expected):
-        # A stand-in executor records the pool size and maps in-process, so
-        # no worker process is ever started.
-        sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingExecutor)
+    def test_pool_capped_by_cpus_and_points(self, recorded_pools, monkeypatch, cpus, expected):
+        # 5 * _BATCHES_PER_WORKER batches feed at most 5 workers
         monkeypatch.setattr(sweep, "_cpu_count", lambda: cpus)
         monkeypatch.setenv("BLOCKADE_THREADS", "500")
-        result = run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 5)])
-        assert sizes == [expected]
-        assert len(result.rows) == 5
+        result = run_sweep(SystemParams(f=0.1), [unstable_axis(5 * BATCHES_PER_WORKER * BATCH)])
+        assert recorded_pools == [expected]
+        assert len(result.rows) == 5 * BATCHES_PER_WORKER * BATCH
+
+    def test_small_grid_starts_no_pool(self, recorded_pools, monkeypatch):
+        # below _BATCHES_PER_WORKER batches for each of 2 workers the sweep
+        # runs in this process; at that many it pools
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+        for batches, pools in ((2 * BATCHES_PER_WORKER - 1, []), (2 * BATCHES_PER_WORKER, [2])):
+            result = run_sweep(SystemParams(f=0.1), [unstable_axis(batches * BATCH)], workers=2)
+            assert recorded_pools == pools
+            assert len(result.rows) == batches * BATCH
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
     def test_one_cpu_affinity_starts_no_pool(self):
@@ -187,10 +224,12 @@ class TestRunSweep:
                 raise AssertionError(f"a pool of {max_workers} was started")
 
             sweep.ProcessPoolExecutor = no_pool
-            axes = [sweep.GridAxis.linear("delta", 0.0, 1.0, 8)]
+            # a grid that 2 CPUs would pool
+            points = 2 * sweep._BATCHES_PER_WORKER * sweep.BATCH
+            axes = [sweep.GridAxis.linear("delta", 0.0, 1.0, points)]
             for workers in (None, 2):
                 rows = sweep.run_sweep(SystemParams(f=0.1), axes, workers=workers).rows
-                assert [row.status for row in rows] == ["OK"] * 8
+                assert [row.status for row in rows] == ["OK"] * points
             print(sweep._cpu_count())
             """
         )
@@ -258,7 +297,10 @@ class TestRunSweep:
 
     def test_spawned_pool_matches_serial(self, monkeypatch):
         base = SystemParams(u=0.5, phi=0.3)
-        axes = [GridAxis.linear("f", 0.05, 0.15, 2), GridAxis.linear("g", 0.0, 0.02, 2)]
+        axes = [
+            GridAxis.linear("f", 0.05, 0.15, 2 * BATCH),
+            GridAxis.linear("g", 0.0, 0.02, BATCHES_PER_WORKER),
+        ]
         serial = run_sweep(base, axes, workers=1)
 
         spawn = multiprocessing.get_context("spawn")
