@@ -8,15 +8,18 @@ single decaying mode,
 vectorized by column stacking: vec(rho)[i + D*j] = rho[i, j], so that
 vec(A rho B) = kron(B.T, A) vec(rho).  The D^2 x D^2 Liouvillian has about
 ten nonzeros per row, so it is built as a scipy.sparse matrix on an index
-pattern computed once per truncation D; each parameter point only fills in
-the data, which is affine in H and kappa.  The steady state is the
-unit-trace kernel vector of the Liouvillian, found by replacing row 0 (the
-rho_00 equation) of the singular system with the vectorized trace
-constraint and solving the square system with SuperLU on a layout cached
-per truncation (_layout).  Truncation is controlled by re-solving at
-growing dimension until the observables stop moving on a log10 scale,
-unless the first solve, at D=18, already holds a negligible share of N and
-<a'a'aa> in the number states n >= 12 that D=12 cannot represent.
+pattern computed once per truncation D and gain band; each parameter point
+only fills in the data, which is affine in H and kappa.  A point without
+parametric gain (g == 0) has an empty a'a', aa band, so its pattern leaves
+that band out, and SuperLU orders and fills only the entries it has.  The
+steady state is the unit-trace kernel vector of the Liouvillian, found by
+replacing row 0 (the rho_00 equation) of the singular system with the
+vectorized trace constraint and solving the square system with SuperLU on
+a layout cached per truncation and gain band (_layout).  Truncation is
+controlled by re-solving at growing dimension until the observables stop
+moving on a log10 scale, unless the first solve, at D=18, already holds a
+negligible share of N and <a'a'aa> in the number states n >= 12 that D=12
+cannot represent.
 
 Every solve goes through one batch engine (converge_batch): up to BATCH
 points walk the one ladder together, and at each truncation the points
@@ -24,10 +27,11 @@ still climbing are solved as one batch (_rung).  A batch fills the data of
 all its Liouvillians in one sparse product and makes its norms,
 residuals, physicality checks, observables and tail shares as operations
 on one stack; only the SuperLU factor, its condition estimate and the
-answer's solve are made point by point.  A point leaves its batch once its
-outcome is known, and every outcome is the same, bit for bit, whatever
-else shares the batch; converged_steady_state and steady_state are the
-one-point cases.
+answer's solve are made point by point.  Gain-free and gained points walk
+the ladder as two sub-batches, one per layout.  A point leaves its batch
+once its outcome is known, and every outcome is the same, bit for bit,
+whatever else shares the batch; converged_steady_state and steady_state
+are the one-point cases.
 """
 
 from __future__ import annotations
@@ -213,21 +217,33 @@ def _observables(pops: np.ndarray) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _layout(d: int):
+def _has_gain(points) -> bool:
+    """Whether any of the points has parametric gain, which fills H's
+    a'a', aa band: the _layout key of their batch."""
+    return any(p.g != 0.0 for p in points)
+
+
+# One layout per rung of the default ladder, for each gain band.
+@functools.lru_cache(maxsize=2 * len(range(START_DIM, DEFAULT_MAX_DIM + 1, DIM_STEP)))
+def _layout(d: int, gain: bool):
     """Index layout of L and of the trace-constrained system at truncation d.
 
-    Shared by every point.  H couples number states at most two apart (a'a',
-    aa), so only that band of H is read.  The system A is L with row 0 (the
-    rho_00 equation) swapped for the trace functional, so its layout is
-    cached per truncation: for d >= 4 row 0 has the smallest sup norm of L,
-    max(kappa, F, sqrt(2)|G|), which every other row's jump or diagonal,
-    drive and gain entries reach.  A is stored as P A P^T, with P the
-    symmetric minimum-degree ordering of A + A^T (SuperLU's "symmetric
-    mode"), which fills far less than a fresh COLAMD ordering per call.
-    The ordering is computed from the pattern alone (a probe with unit
-    entries and a dominant diagonal), so it does not depend on which point
-    is solved first.
+    Shared by every point of the gain band.  H couples number states at
+    most two apart (a'a', aa) when gain is true and at most one apart (a',
+    a) when it is false, so only that band of H is read.  Without gain the
+    band two apart is exactly zero: storing it would change no entry of
+    the system, but the ordering and SuperLU's factor would carry fill
+    around it (without it a gain-free factor holds 0.70-0.83 of that fill
+    at D=12-60 and factors 1.4-2.4x faster), so it is left out.  The
+    system A is L with row 0 (the rho_00 equation) swapped for the trace
+    functional, so its layout is cached with L's: for d >= 4 row 0 has the
+    smallest sup norm of L, max(kappa, F, sqrt(2)|G|), which every other
+    row's jump or diagonal, drive and gain entries reach.  A is stored as
+    P A P^T, with P the symmetric minimum-degree ordering of A + A^T
+    (SuperLU's "symmetric mode"), which fills far less than a fresh COLAMD
+    ordering per call.  The ordering is computed from the pattern alone (a
+    probe with unit entries and a dominant diagonal), so it does not
+    depend on which point is solved first.
 
     Returns (indices, indptr, h_to_data, decay, order, take, sys_indices,
     sys_indptr, rhs): the CSR index arrays of L (sorted, no duplicates,
@@ -239,7 +255,7 @@ def _layout(d: int):
     arrays; and the right-hand side P e_0.  All but h_to_data are read-only.
     """
     n = np.arange(d)
-    ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= 2)
+    ii, kk = np.nonzero(np.abs(n[:, None] - n[None, :]) <= (2 if gain else 1))
     spectator = n[:, None]
     # -i H rho puts -i H[i, k] at L[i + d j, k + d j]; i rho H puts +i H[i, k]
     # at L[j + d k, j + d i], for every spectator index j.
@@ -391,10 +407,10 @@ def _one_blas_thread():
 
 def _liouvillian_data(points, d: int) -> np.ndarray:
     """The data of L for each of the points, a (B, nnz) array in the CSR
-    order of _layout(d): one sparse product for the stack of Hamiltonians,
-    plus kappa times the damping."""
+    order of _layout(d, _has_gain(points)): one sparse product for the stack
+    of Hamiltonians, plus kappa times the damping."""
     h_stack = h_eff_stack(points, d).reshape(len(points), d * d)  # checks d before _layout
-    _, _, h_to_data, decay, *_ = _layout(d)
+    _, _, h_to_data, decay, *_ = _layout(d, _has_gain(points))
     data = np.empty((len(points), decay.size), dtype=complex)
     np.multiply.outer([p.kappa for p in points], decay, out=data)
     data += (h_to_data @ h_stack.T).T
@@ -405,10 +421,11 @@ def liouvillian(p: SystemParams, dim: int) -> csr_array:
     """Generator L with vec(drho/dt) = L vec(rho) under column stacking, at truncation dim.
 
     A sparse CSR matrix whose index arrays are shared, read-only, by every
-    call at the same truncation.
+    call at the same truncation and gain band.  Without gain (p.g == 0) the
+    pattern stores no entry of the a'a', aa band, which is zero (_layout).
     """
     (data,) = _liouvillian_data([p], dim)
-    indices, indptr, *_ = _layout(dim)
+    indices, indptr, *_ = _layout(dim, _has_gain([p]))
     return csr_array((data, indices, indptr), shape=(dim * dim, dim * dim))
 
 
@@ -422,14 +439,14 @@ def _failure(message: str, cause: Exception | None = None) -> SteadyStateError:
     return error
 
 
-def _factor_and_solve(data: np.ndarray, kappa: list, scale: list, d: int):
+def _factor_and_solve(data: np.ndarray, kappa: list, scale: list, d: int, gain: bool):
     """Solve the trace-constrained system of each row of L data (CSR order
-    of _layout(d)) one by one, on one system matrix whose data is swapped.
+    of _layout(d, gain)) one by one, on one system matrix whose data is swapped.
 
     Returns (errors, vecs): per row None, or the SteadyStateError that
     rejects it (unraised), and the unnormalised vec(rho) of each solved row.
     """
-    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d)
+    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d, gain)
     size = d * d
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
@@ -525,17 +542,20 @@ def _rung(points, d: int) -> list:
     The batch's Liouvillian data, norms, residuals, physicality checks,
     observables and tail shares are operations on one contiguous stack; only
     the factor, its condition estimate and the answer's solve are made
-    point by point (_factor_and_solve).
+    point by point (_factor_and_solve).  The batch is solved on the
+    gain-free layout only if none of its points has gain, so a point's
+    result depends on its batch mates unless they are all of its kind.
     """
     check_dim(d)
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
+    gain = _has_gain(points)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         data = _liouvillian_data(points, d)
-        indices, indptr, *_ = _layout(d)
+        indices, indptr, *_ = _layout(d, gain)
         # every row stores its diagonal entry, so no row of the pattern is empty
         scale = np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1).tolist()  # ||L||_inf
-    results, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d)
+    results, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d, gain)
 
     solved = [i for i, error in enumerate(results) if error is None]
     if not solved:
@@ -599,9 +619,11 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
 
     Returns, for each point, (rho, obs, dim) or the SteadyStateError it
     would raise, unraised.  Every point follows the same ladder, so the
-    batch walks it once: each step solves the points still climbing as one
-    _rung, and a point leaves as soon as its outcome is known.  A NaN or
-    negative tol, or a max_dim below 12, is a ValueError.
+    batch walks it once per gain band (_layout): the gain-free points and
+    the gained points each as a sub-batch, in which each step solves the
+    points still climbing as one _rung, and a point leaves as soon as its
+    outcome is known.  A NaN or negative tol, or a max_dim below 12, is a
+    ValueError.
     """
     check_ladder(tol, max_dim)
     if len(points) > BATCH:
@@ -614,38 +636,39 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
                 f"no steady state: without Kerr the gain 2|g| = {2.0 * abs(p.g):.6g} reaches "
                 f"the threshold sqrt(delta^2 + kappa^2/4) = {threshold:.6g}"
             )
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    for gain in (False, True):  # one sub-batch per layout
+        live = [i for i, outcome in enumerate(outcomes) if outcome is None and _has_gain([points[i]]) == gain]
 
-    ahead = {}
-    if live and max_dim >= CERTIFY_DIM:
-        ahead = dict(zip(live, _rung([points[i] for i in live], CERTIFY_DIM)))
-        for i, result in ahead.items():
-            # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
-            if isinstance(result, SteadyStateError):
-                continue
-            rho, obs, share = result
-            # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
-            if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
-                outcomes[i] = rho, obs, CERTIFY_DIM
-        live = [i for i in live if outcomes[i] is None]
+        ahead = {}
+        if live and max_dim >= CERTIFY_DIM:
+            ahead = dict(zip(live, _rung([points[i] for i in live], CERTIFY_DIM)))
+            for i, result in ahead.items():
+                # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
+                if isinstance(result, SteadyStateError):
+                    continue
+                rho, obs, share = result
+                # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
+                if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
+                    outcomes[i] = rho, obs, CERTIFY_DIM
+            live = [i for i in live if outcomes[i] is None]
 
-    last_two = dict.fromkeys(live, (None, None))  # each point's last two Observables
-    for dim in range(START_DIM, max_dim + 1, DIM_STEP):
-        if not live:
-            break
-        results = [ahead[i] for i in live] if dim == CERTIFY_DIM else _rung([points[i] for i in live], dim)
-        for i, result in zip(live, results):
-            if isinstance(result, SteadyStateError):
-                outcomes[i] = result
-                continue
-            rho, obs, _ = result
-            previous = last_two[i][1]
-            if obs.mean_photon < PHOTON_FLOOR or (previous is not None and _lg_gap(previous, obs) < tol):
-                outcomes[i] = rho, obs, dim
-            last_two[i] = previous, obs
-        live = [i for i in live if outcomes[i] is None]
-    for i in live:
-        outcomes[i] = ConvergenceError(f"observables not settled to tol={tol} at dim={dim}", *last_two[i])
+        last_two = dict.fromkeys(live, (None, None))  # each point's last two Observables
+        for dim in range(START_DIM, max_dim + 1, DIM_STEP):
+            if not live:
+                break
+            results = [ahead[i] for i in live] if dim == CERTIFY_DIM else _rung([points[i] for i in live], dim)
+            for i, result in zip(live, results):
+                if isinstance(result, SteadyStateError):
+                    outcomes[i] = result
+                    continue
+                rho, obs, _ = result
+                previous = last_two[i][1]
+                if obs.mean_photon < PHOTON_FLOOR or (previous is not None and _lg_gap(previous, obs) < tol):
+                    outcomes[i] = rho, obs, dim
+                last_two[i] = previous, obs
+            live = [i for i in live if outcomes[i] is None]
+        for i in live:
+            outcomes[i] = ConvergenceError(f"observables not settled to tol={tol} at dim={dim}", *last_two[i])
     return outcomes
 
 

@@ -111,16 +111,22 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("victim_index, dim", [(3, 18), (6, 24)])
     def test_failure_at_one_rung_leaves_its_batch_mates_unchanged(self, monkeypatch, victim_index, dim):
-        # 5 x 2 points in row-major order; without Kerr, f = 1.0 (indices 6
-        # and 7) and 1.5 decline the one-rung rule and climb through D=24
-        axes = [GridAxis("f", (0.05, 0.1, 0.2, 1.0, 1.5)), GridAxis("g", (0.0, 0.02))]
+        # 5 x 2 points in row-major order; without Kerr, f = 1.0, 1.2 and 1.5
+        # decline the one-rung rule and climb through D=24.  The first batch
+        # (indices 0-7) walks its g = 0 and g = 0.02 points as two
+        # sub-batches, and each victim has batch mates of its own gain band:
+        # index 3 (g = 0.02) at D=18, index 6 (g = 0, f = 1.2) at D=24 with
+        # index 4 (g = 0, f = 1.0)
+        axes = [GridAxis("f", (0.05, 0.1, 1.0, 1.2, 1.5)), GridAxis("g", (0.0, 0.02))]
         base = SystemParams(phi=math.pi / 12)
         clean = run_sweep(base, axes, workers=1).rows
         victim = clean[victim_index].params
-        _, batches = record_rungs(monkeypatch)
+        solved = []  # (dim, points) of every batched rung
+        solve = blockade.steady._rung
+        monkeypatch.setattr(blockade.steady, "_rung", lambda points, d: solved.append((d, points)) or solve(points, d))
         fail_at(monkeypatch, dim, victims={victim})
         forced = run_sweep(base, axes, workers=1).rows
-        assert any(d == dim and size > 1 for d, size in batches)  # the victim had batch mates
+        assert any(d == dim and victim in points and len(points) > 1 for d, points in solved)  # the victim had batch mates
         assert forced[victim_index].status == "FAIL"
         assert forced[:victim_index] + forced[victim_index + 1 :] == clean[:victim_index] + clean[victim_index + 1 :]
         assert row_fields([forced[victim_index]]) == [single_point_row(victim, 1e-3, 60)]

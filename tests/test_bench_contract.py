@@ -5,17 +5,21 @@ the library calls it through, and the workloads build their inputs from the
 public API (GridAxis.linear and its min, max and points(), preset,
 SystemParams.replace) and read the rows' fields, so renaming or deleting any
 of them breaks the benchmark run; these tests load bench/tracing.py and
-bench/workloads.py unmodified and check them.
+bench/workloads.py unmodified and check them.  The library must also
+reproduce the seed-0 rows that bench/reference.json records, or the
+benchmark run reports correct: false.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from helpers import record_rungs
 
 import blockade.sweep as sweep
 from blockade.model import SystemParams
+from blockade.steady import SteadyStateError, converged_steady_state
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,3 +66,25 @@ def test_workload_inputs_build_and_map_rows_check():
     assert len(workloads.ladder_inputs(0)) == sum(count for _, count, _ in workloads.LADDER_STRATA)
     result = sweep.run_sweep(base, axes, workers=1)
     assert [workloads.check_map_row(row, p, None, None) for row, p in zip(result.rows, points)] == [None] * len(points)
+
+
+def test_library_reproduces_the_seed0_reference_rows():
+    # bench/run.py holds every row to bench/reference.json: dim exactly, N
+    # and g2 within REFERENCE_RTOL, so a drift fails here before it does there
+    workloads = load_bench("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    base, axes = workloads.map_inputs(0)
+    points = workloads.map_points(base, axes)
+    rows = sweep.run_sweep(base, axes, workers=1).rows
+    assert [
+        workloads.check_map_row(row, p, ref, None) for row, p, ref in zip(rows, points, reference["map"]["0"], strict=True)
+    ] == [None] * len(points)
+    mismatches = []
+    for (_, p), ref in zip(workloads.ladder_inputs(0), reference["ladder"]["0"], strict=True):
+        try:
+            _, obs, dim = converged_steady_state(p)
+            outcome = dim, obs.mean_photon, obs.g2
+        except SteadyStateError as exc:
+            outcome = exc
+        mismatches.append(workloads.check_ladder_point(p, outcome, ref))
+    assert mismatches == [None] * len(mismatches)

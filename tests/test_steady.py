@@ -159,11 +159,46 @@ class TestLiouvillian:
             assert err <= 1e-14 * np.linalg.norm(dense, np.inf)
 
     def test_pattern_shared_per_dim(self):
-        first = liouvillian(SystemParams(f=0.3, g=0.1), 9)
-        second = liouvillian(SystemParams(u=1.0, delta=-0.5), 9)
-        assert np.shares_memory(first.indices, second.indices)
-        assert np.shares_memory(first.indptr, second.indptr)
-        assert not first.indices.flags.writeable
+        # one pattern per truncation and gain band
+        gained = [liouvillian(SystemParams(f=0.3, g=0.1), 9), liouvillian(SystemParams(u=1.0, g=-0.2), 9)]
+        gain_free = [liouvillian(SystemParams(f=0.3), 9), liouvillian(SystemParams(u=1.0, delta=-0.5), 9)]
+        for first, second in (gained, gain_free):
+            assert np.shares_memory(first.indices, second.indices)
+            assert np.shares_memory(first.indptr, second.indptr)
+            assert not first.indices.flags.writeable
+        assert not np.shares_memory(gained[0].indices, gain_free[0].indices)
+        assert gain_free[0].nnz < gained[0].nnz
+
+    def test_gain_free_pattern_leaves_out_the_gain_band(self, monkeypatch):
+        # the a'a', aa band of a g == 0 point is zero: L stores none of it,
+        # and its factor is smaller than, with the same state as, the same
+        # system on the full pattern
+        p = SystemParams(delta=0.1, u=0.02, f=2.0, phi=0.3)
+        dim = 36
+        gen = liouvillian(p, dim)
+        rows = np.repeat(np.arange(dim * dim), np.diff(gen.indptr))
+        # number-state distance of each stored entry, on each side of rho
+        apart = np.maximum(abs(rows % dim - gen.indices % dim), abs(rows // dim - gen.indices // dim))
+        assert apart.max() == 1
+        full = blockade.steady._layout(dim, True)
+        assert full[0].size > gen.nnz  # the full pattern does hold the band
+
+        factors = []
+
+        def recording_splu(matrix, **kwargs):
+            factors.append(splu(matrix, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(blockade.steady, "splu", recording_splu)
+        states, fill = [], []
+        layout = blockade.steady._layout
+        for on_full_pattern in (False, True):
+            if on_full_pattern:
+                monkeypatch.setattr(blockade.steady, "_layout", lambda d, gain: layout(d, True))
+            states.append(steady_state(p, dim).entries)
+            fill.append(factors[-1].L.nnz + factors[-1].U.nnz)
+        assert fill[0] <= 0.8 * fill[1]
+        assert np.max(np.abs(states[0] - states[1])) <= 1e-13
 
 
 class TestSteadyState:
@@ -301,21 +336,22 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("dim", [4, 7])
     def test_system_layout_matches_dense_oracle(self, dim):
-        p = SystemParams(delta=0.3, u=0.7, g=0.2, f=0.4, phi=0.9)
-        dense = dense_liouvillian(p, dim)
-        data = liouvillian(p, dim).data
-        size = dim * dim
-        *_, order, take, indices, indptr, rhs = blockade.steady._layout(dim)
-        assert sorted(order) == list(range(size))
-        expected = dense.copy()
-        expected[0] = vec(np.eye(dim, dtype=complex))  # the trace row replaces rho_00's
-        expected = expected[order][:, order]
-        gathered = csc_array((np.append(data, 1.0)[take], indices, indptr), shape=(size, size))
-        assert gathered.has_canonical_format
-        assert np.max(np.abs(gathered.toarray() - expected)) <= 1e-14 * np.linalg.norm(dense, np.inf)
-        assert not take.flags.writeable and not order.flags.writeable
-        assert np.array_equal(rhs, np.eye(size)[0][order])  # P e_0: the trace row's 1
-        assert not rhs.flags.writeable
+        for g in (0.2, 0.0):  # each gain band's layout
+            p = SystemParams(delta=0.3, u=0.7, g=g, f=0.4, phi=0.9)
+            dense = dense_liouvillian(p, dim)
+            data = liouvillian(p, dim).data
+            size = dim * dim
+            *_, order, take, indices, indptr, rhs = blockade.steady._layout(dim, g != 0.0)
+            assert sorted(order) == list(range(size))
+            expected = dense.copy()
+            expected[0] = vec(np.eye(dim, dtype=complex))  # the trace row replaces rho_00's
+            expected = expected[order][:, order]
+            gathered = csc_array((np.append(data, 1.0)[take], indices, indptr), shape=(size, size))
+            assert gathered.has_canonical_format
+            assert np.max(np.abs(gathered.toarray() - expected)) <= 1e-14 * np.linalg.norm(dense, np.inf)
+            assert not take.flags.writeable and not order.flags.writeable
+            assert np.array_equal(rhs, np.eye(size)[0][order])  # P e_0: the trace row's 1
+            assert not rhs.flags.writeable
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -339,7 +375,7 @@ class TestSteadyState:
 
     def test_result_does_not_depend_on_solve_order(self):
         target = SystemParams(delta=-0.4, u=0.3, g=0.05, f=0.3, phi=0.7)
-        other = SystemParams(delta=1.5, u=0.0, g=0.0, f=0.2)  # zero H entries in the pattern
+        other = SystemParams(delta=1.5, u=0.0, g=0.1, f=0.0)  # zero H entries in the pattern
         blockade.steady._layout.cache_clear()
         cold = steady_state(target, 18).entries
         blockade.steady._layout.cache_clear()
