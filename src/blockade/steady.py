@@ -23,15 +23,16 @@ cannot represent.
 
 Every solve goes through one batch engine (converge_batch): up to BATCH
 points walk the one ladder together, and at each truncation the points
-still climbing are solved as one batch (_rung).  A batch fills the data of
-all its Liouvillians in one sparse product and makes its norms,
-residuals, physicality checks, observables and tail shares as operations
-on one stack; only the SuperLU factor, its condition estimate and the
-answer's solve are made point by point.  Gain-free and gained points walk
-the ladder as two sub-batches, one per layout.  A point leaves its batch
-once its outcome is known, and every outcome is the same, bit for bit,
-whatever else shares the batch; converged_steady_state and steady_state
-are the one-point cases.
+still climbing are solved as one batch by one function (_rung).  A batch
+reads its layout once, fills the data of all its Liouvillians in one
+sparse product and makes its norms, residuals, physicality checks and
+observables as operations on one stack; only the SuperLU factor, its
+condition estimate and the answer's solve are made point by point.  Only
+the D=18 look-ahead computes tail shares, for the states it solved.
+Gain-free and gained points walk the ladder as two sub-batches, one per
+layout.  A point leaves its batch once its outcome is known, and every
+outcome is the same, bit for bit, whatever else shares the batch;
+converged_steady_state and steady_state are the one-point cases.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ PHOTON_FLOOR = 1e-12
 # declared unreliable.
 RCOND_FLOOR = 1e-14
 
-# A D=18 state whose tail share (_tail_share) is below this multiple of tol
+# A D=18 state whose tail share (_tail_shares) is below this multiple of tol
 # is returned without the D=12 rung; see converged_steady_state.
 TAIL_SHARE_BOUND = 1e-3
 
@@ -405,12 +406,12 @@ def _one_blas_thread():
                 set_(count)
 
 
-def _liouvillian_data(points, d: int) -> np.ndarray:
+def _liouvillian_data(points, d: int, layout) -> np.ndarray:
     """The data of L for each of the points, a (B, nnz) array in the CSR
-    order of _layout(d, _has_gain(points)): one sparse product for the stack
-    of Hamiltonians, plus kappa times the damping."""
-    h_stack = h_eff_stack(points, d).reshape(len(points), d * d)  # checks d before _layout
-    _, _, h_to_data, decay, *_ = _layout(d, _has_gain(points))
+    order of their layout, _layout(d, _has_gain(points)): one sparse
+    product for the stack of Hamiltonians, plus kappa times the damping."""
+    h_stack = h_eff_stack(points, d).reshape(len(points), d * d)
+    _, _, h_to_data, decay, *_ = layout
     data = np.empty((len(points), decay.size), dtype=complex)
     np.multiply.outer([p.kappa for p in points], decay, out=data)
     data += (h_to_data @ h_stack.T).T
@@ -424,8 +425,10 @@ def liouvillian(p: SystemParams, dim: int) -> csr_array:
     call at the same truncation and gain band.  Without gain (p.g == 0) the
     pattern stores no entry of the a'a', aa band, which is zero (_layout).
     """
-    (data,) = _liouvillian_data([p], dim)
-    indices, indptr, *_ = _layout(dim, _has_gain([p]))
+    check_dim(dim)  # ahead of _layout's cache, which 12.0 would share with 12
+    layout = _layout(dim, _has_gain([p]))
+    (data,) = _liouvillian_data([p], dim, layout)
+    indices, indptr, *_ = layout
     return csr_array((data, indices, indptr), shape=(dim * dim, dim * dim))
 
 
@@ -437,68 +440,6 @@ def _failure(message: str, cause: Exception | None = None) -> SteadyStateError:
     if cause is not None:
         error.__cause__ = cause.with_traceback(None)
     return error
-
-
-def _factor_and_solve(data: np.ndarray, kappa: list, scale: list, d: int, gain: bool):
-    """Solve the trace-constrained system of each row of L data (CSR order
-    of _layout(d, gain)) one by one, on one system matrix whose data is swapped.
-
-    Returns (errors, vecs): per row None, or the SteadyStateError that
-    rejects it (unraised), and the unnormalised vec(rho) of each solved row.
-    """
-    *_, order, take, sys_indices, sys_indptr, rhs = _layout(d, gain)
-    size = d * d
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
-        # the small populations of graded states off: fig4d's weak-drive g2 by 4e-7
-        sys_data = data.take(take, axis=1, mode="clip")
-        sys_data[:, take == data.shape[1]] = np.array(kappa)[:, None]  # index nnz: kappa
-        # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
-        # inverse); every column holds an entry of H's band, so none is empty
-        anorm = np.add.reduceat(np.abs(sys_data), sys_indptr[:-1], axis=1).max(axis=1).tolist()
-
-    # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
-    # small populations of a graded state accurate (g2 to ~1e-15 where A^T
-    # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
-    # wherever it is within a factor 100 of its column's largest candidate.
-    # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
-    # default merges larger ones) keeps the fill and saves 15-30% of the
-    # factor time up to D=36.  Panels of one column: a wider panel buys
-    # BLAS-3 reuse only across wide supernodes, which these never are, and
-    # its work arrays cost ~100 page faults per call on the hot path.
-    errors: list = [None] * len(data)
-    vecs = np.zeros((len(data), size), dtype=complex)
-    system = csc_array((sys_data[0], sys_indices, sys_indptr), shape=(size, size))
-    # one BLAS thread: see _openblas_thread_controls
-    with _one_blas_thread():
-        for i, row in enumerate(sys_data):
-            if not math.isfinite(scale[i]):
-                errors[i] = _failure(
-                    f"steady-state system at dim={d} overflows double precision; "
-                    f"try smaller parameters"
-                )
-                continue
-            system.data = row
-            try:
-                lu = splu(
-                    system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4, panel_size=1
-                )
-            except RuntimeError as exc:
-                errors[i] = _failure(
-                    f"singular steady-state system at dim={d}; try a larger truncation "
-                    f"or different parameters ({exc})",
-                    exc,
-                )
-                continue
-            rcond = 1.0 / (anorm[i] * _inverse_norm_estimate(lu, size))
-            if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-                errors[i] = _failure(
-                    f"steady-state system too ill-conditioned at dim={d} "
-                    f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
-                )
-                continue
-            vecs[i, order] = lu.solve(rhs)
-    return errors, vecs
 
 
 def observables(rho: DensityMatrix) -> Observables:
@@ -524,7 +465,8 @@ def _tail_shares(pops: np.ndarray) -> np.ndarray:
     held by the number states n >= START_DIM, which the first rung cannot
     represent, for each row of the (B, n) populations.  Tail populations
     count by magnitude, so solver noise never lowers the share.  Meaningful
-    where both moments are positive (lg_g2 defined)."""
+    where both moments are positive (lg_g2 defined).  Each row rounds as it
+    would alone (_row_dots), whatever else the stack holds."""
     pops = np.ascontiguousarray(pops)
     n = np.arange(pops.shape[1], dtype=float)
     tail = np.abs(pops[:, START_DIM:])
@@ -536,26 +478,76 @@ def _tail_shares(pops: np.ndarray) -> np.ndarray:
 
 
 def _rung(points, d: int) -> list:
-    """The batched rung: for each of the points, (rho, obs, tail share) at
-    truncation d, or the SteadyStateError that rejects it (unraised).
+    """The batched rung: for each of the points, (rho, obs) at truncation d,
+    or the SteadyStateError that rejects it (unraised).
 
-    The batch's Liouvillian data, norms, residuals, physicality checks,
-    observables and tail shares are operations on one contiguous stack; only
-    the factor, its condition estimate and the answer's solve are made
-    point by point (_factor_and_solve).  The batch is solved on the
+    The batch's Liouvillian data, norms, residuals, physicality checks and
+    observables are operations on one contiguous stack; only the factor,
+    its condition estimate and the answer's solve are made point by point,
+    on one system matrix whose data is swapped.  The batch is solved on the
     gain-free layout only if none of its points has gain, so a point's
     result depends on its batch mates unless they are all of its kind.
     """
     check_dim(d)
     if d < 3:
         raise ValueError(f"truncation dimension must be at least 3, got {d}")
-    gain = _has_gain(points)
+    layout = _layout(d, _has_gain(points))
+    indices, indptr, _, _, order, take, sys_indices, sys_indptr, rhs = layout
+    size = d * d
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        data = _liouvillian_data(points, d)
-        indices, indptr, *_ = _layout(d, gain)
+        data = _liouvillian_data(points, d, layout)
         # every row stores its diagonal entry, so no row of the pattern is empty
         scale = np.add.reduceat(np.abs(data), indptr[:-1], axis=1).max(axis=1).tolist()  # ||L||_inf
-    results, vecs = _factor_and_solve(data, [p.kappa for p in points], scale, d, gain)
+        # weighting the trace row by L's mean |entry| instead (QuTiP's choice) put
+        # the small populations of graded states off: fig4d's weak-drive g2 by 4e-7
+        sys_data = data.take(take, axis=1, mode="clip")
+        sys_data[:, take == data.shape[1]] = np.array([p.kappa for p in points])[:, None]  # index nnz: kappa
+        # ||A||_1 read off P A P^T, which has the same 1-norm (as does its
+        # inverse); every column holds an entry of H's band, so none is empty
+        anorm = np.add.reduceat(np.abs(sys_data), sys_indptr[:-1], axis=1).max(axis=1).tolist()
+
+    # Factor P A P^T itself, not its transpose: row pivoting on A keeps the
+    # small populations of a graded state accurate (g2 to ~1e-15 where A^T
+    # gave ~1e-9).  The pivot threshold keeps the ordering's diagonal pivot
+    # wherever it is within a factor 100 of its column's largest candidate.
+    # Relaxing only subtrees of at most 4 columns into supernodes (SuperLU's
+    # default merges larger ones) keeps the fill and saves 15-30% of the
+    # factor time up to D=36.  Panels of one column: a wider panel buys
+    # BLAS-3 reuse only across wide supernodes, which these never are, and
+    # its work arrays cost ~100 page faults per call on the hot path.
+    results: list = [None] * len(points)
+    vecs = np.zeros((len(points), size), dtype=complex)
+    system = csc_array((sys_data[0], sys_indices, sys_indptr), shape=(size, size))
+    # one BLAS thread: see _openblas_thread_controls
+    with _one_blas_thread():
+        for i, row in enumerate(sys_data):
+            if not math.isfinite(scale[i]):
+                results[i] = _failure(
+                    f"steady-state system at dim={d} overflows double precision; "
+                    f"try smaller parameters"
+                )
+                continue
+            system.data = row
+            try:
+                lu = splu(
+                    system, permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=4, panel_size=1
+                )
+            except RuntimeError as exc:
+                results[i] = _failure(
+                    f"singular steady-state system at dim={d}; try a larger truncation "
+                    f"or different parameters ({exc})",
+                    exc,
+                )
+                continue
+            rcond = 1.0 / (anorm[i] * _inverse_norm_estimate(lu, size))
+            if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+                results[i] = _failure(
+                    f"steady-state system too ill-conditioned at dim={d} "
+                    f"(rcond={float(rcond):.2e}); try a larger truncation or different parameters"
+                )
+                continue
+            vecs[i, order] = lu.solve(rhs)
+    lu = system = sys_data = None  # free the last factor before the checks allocate their stacks
 
     solved = [i for i, error in enumerate(results) if error is None]
     if not solved:
@@ -573,8 +565,8 @@ def _rung(points, d: int) -> list:
         products = rho.transpose(0, 2, 1).reshape(len(solved), d * d).take(indices, axis=1)
         products *= data if len(solved) == len(points) else data[solved]
         residuals = np.abs(np.add.reduceat(products, indptr[:-1], axis=1)).max(axis=1).tolist()
-        checked = _unphysical(rho), _observables(pops), _tail_shares(pops).tolist()
-    for j, (i, residual, defect, obs, share) in enumerate(zip(solved, residuals, *checked)):
+        checked = _unphysical(rho), _observables(pops)
+    for j, (i, residual, defect, obs) in enumerate(zip(solved, residuals, *checked)):
         if residual > 1e-9 * scale[i]:
             results[i] = _failure(f"steady-state residual {residual:.3e} exceeds 1e-9 * ||L|| at dim={d}")
         elif defect is not None:
@@ -582,7 +574,7 @@ def _rung(points, d: int) -> list:
         elif isinstance(obs, ValueError):
             results[i] = _failure(f"unphysical observables at dim={d}: {obs}", obs)
         else:
-            results[i] = _trusted(DensityMatrix, dim=d, entries=rho[j]), obs, share
+            results[i] = _trusted(DensityMatrix, dim=d, entries=rho[j]), obs
     return results
 
 
@@ -607,7 +599,9 @@ def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
 
 
 def check_ladder(tol: float, max_dim: int) -> None:
-    """Reject, as a ValueError, a tol or max_dim no ladder can run on."""
+    """Reject a tol or max_dim no ladder can run on: a max_dim that is no
+    int is check_dim's TypeError, anything else a ValueError."""
+    check_dim(max_dim)
     if max_dim < START_DIM:
         raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
     if not tol >= 0:
@@ -623,7 +617,8 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
     the gained points each as a sub-batch, in which each step solves the
     points still climbing as one _rung, and a point leaves as soon as its
     outcome is known.  A NaN or negative tol, or a max_dim below 12, is a
-    ValueError.
+    ValueError; a max_dim that is no int (a float, a bool or a numpy
+    integer) is a TypeError.
     """
     check_ladder(tol, max_dim)
     if len(points) > BATCH:
@@ -642,11 +637,11 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
         ahead = {}
         if live and max_dim >= CERTIFY_DIM:
             ahead = dict(zip(live, _rung([points[i] for i in live], CERTIFY_DIM)))
-            for i, result in ahead.items():
-                # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
-                if isinstance(result, SteadyStateError):
-                    continue
-                rho, obs, share = result
+            # a failure is returned again at the ladder's D=18 rung, unless it stops at 12
+            solved = [i for i in live if not isinstance(ahead[i], SteadyStateError)]
+            pops = np.array([ahead[i][1].populations for i in solved]).reshape(-1, CERTIFY_DIM)
+            for i, share in zip(solved, _tail_shares(pops).tolist()):
+                rho, obs = ahead[i]
                 # lg_g2 is defined only if N >= PHOTON_FLOOR and g2 > 0
                 if obs.lg_g2 is not None and share < TAIL_SHARE_BOUND * tol:
                     outcomes[i] = rho, obs, CERTIFY_DIM
@@ -661,7 +656,7 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
                 if isinstance(result, SteadyStateError):
                     outcomes[i] = result
                     continue
-                rho, obs, _ = result
+                rho, obs = result
                 previous = last_two[i][1]
                 if obs.mean_photon < PHOTON_FLOOR or (previous is not None and _lg_gap(previous, obs) < tol):
                     outcomes[i] = rho, obs, dim
@@ -693,7 +688,8 @@ def converged_steady_state(
     as without it.
     Raises ConvergenceError (carrying the last two observable sets, naming
     the last dimension solved) if the ladder ends without settling, the
-    guaranteed outcome of tol = 0; a NaN or negative tol is a ValueError.
+    guaranteed outcome of tol = 0; a NaN or negative tol, or a max_dim
+    below 12, is a ValueError, and a max_dim that is no int a TypeError.
     Without Kerr (u = 0) the linearised mode grows once the parametric
     gain reaches 2|g| >= sqrt(delta^2 + kappa^2/4), so there is no steady
     state; such a point raises ConvergenceError (previous and last None)

@@ -148,6 +148,8 @@ def _resolve_workers(workers: int | None) -> int:
                 raise ValueError(f"BLOCKADE_THREADS must be an integer, got {env!r}") from None
         else:
             workers = _cpu_count()
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise TypeError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     return workers

@@ -135,7 +135,7 @@ class TestBatchEngine:
 class TestNoReferenceCycles:
     def zero_generator(self, monkeypatch):
         build = blockade.steady._liouvillian_data
-        monkeypatch.setattr(blockade.steady, "_liouvillian_data", lambda points, dim: 0.0 * build(points, dim))
+        monkeypatch.setattr(blockade.steady, "_liouvillian_data", lambda *args: 0.0 * build(*args))
 
     @pytest.mark.parametrize("failure", ["ill-conditioned", "singular"])
     def test_failed_batch_leaves_no_reference_cycle(self, monkeypatch, failure):

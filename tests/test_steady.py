@@ -259,8 +259,8 @@ class TestSteadyState:
         # an all-zero generator leaves only the trace row: exactly singular
         build = blockade.steady._liouvillian_data
 
-        def zero_generator(points, dim):
-            return np.zeros_like(build(points, dim))
+        def zero_generator(*args):
+            return np.zeros_like(build(*args))
 
         monkeypatch.setattr(blockade.steady, "_liouvillian_data", zero_generator)
         with pytest.raises(SteadyStateError, match="singular") as excinfo:
@@ -655,9 +655,22 @@ class TestConvergedSteadyState:
     def test_convergence_error_is_solver_failure(self):
         assert issubclass(ConvergenceError, SteadyStateError)
 
-    def test_rejects_max_dim_below_start(self):
-        with pytest.raises(ValueError):
-            converged_steady_state(SystemParams(f=0.1), max_dim=6)
+    def test_rejects_max_dim_below_start(self, monkeypatch):
+        # and, ahead of any solve, a max_dim that is no int, on every entry
+        # point of the ladder
+        never_solve(monkeypatch)
+        p = SystemParams(f=0.1)
+        entries = (
+            lambda max_dim: converged_steady_state(p, max_dim=max_dim),
+            lambda max_dim: blockade.steady.converge_batch([p], max_dim=max_dim),
+            lambda max_dim: run_sweep(p, [GridAxis.linear("f", 0.1, 0.2, 2)], max_dim=max_dim, workers=1),
+        )
+        for entry in entries:
+            with pytest.raises(ValueError, match="below the starting dimension 12"):
+                entry(6)
+            for max_dim in (24.0, True, np.int64(24)):
+                with pytest.raises(TypeError, match="truncation dimension must be an integer"):
+                    entry(max_dim)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
     def test_rejects_nan_or_negative_tol_before_solving(self, tol, monkeypatch):

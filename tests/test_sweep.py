@@ -190,6 +190,13 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)])
 
+    @pytest.mark.parametrize("workers", [1.5, 2.5, True, pytest.param(np.int64(2), id="int64")])
+    def test_non_int_workers_rejected_before_solving(self, monkeypatch, workers):
+        # on a grid too small to pool, where the count was never used
+        never_solve(monkeypatch)
+        with pytest.raises(TypeError, match="worker count must be an integer"):
+            run_sweep(SystemParams(f=0.1), [GridAxis.linear("delta", 0.0, 1.0, 2)], workers=workers)
+
     @pytest.mark.parametrize("cpus, expected", [(64, 5), (3, 3)])
     def test_pool_capped_by_cpus_and_points(self, recorded_pools, monkeypatch, cpus, expected):
         # 5 * _BATCHES_PER_WORKER batches feed at most 5 workers
