@@ -353,35 +353,28 @@ def _inverse_norm_estimate(lu, n: int) -> float:
 
 @functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+    """The OpenBLAS that SuperLU links, as ((get, set),) of its thread-count functions.
 
     SuperLU's dense kernels run on scipy's bundled OpenBLAS, which threads
     them from about D=48 on.  On two cores a threaded D=48-60 factor took
     twice the CPU time of a one-thread factor and no less wall time, and
-    its wall time grew tenfold while another process held a core.  Found
-    through /proc/self/maps, so off Linux, or with another BLAS, nothing is
-    found and the solver leaves the thread count alone.
+    its wall time grew tenfold while another process held a core.  Looked
+    up on SuperLU's extension, whose handle also searches the libraries it
+    links, so numpy's own OpenBLAS keeps its count; with another BLAS, or
+    without that extension, nothing is found (()) and the count is left alone.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
+        from scipy.sparse.linalg._dsolve import _superlu
+    except ImportError:
         return ()
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)  # already loaded, so this only returns its handle
-        except OSError:  # e.g. a mapped file since deleted
-            continue
-        # scipy's and numpy's wheels prefix the symbols with scipy_; numpy's
-        # 64-bit-integer copies suffix them with 64_
-        for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                controls.append((get, set_))  # ctypes' default int signature fits both
-                break
-    return tuple(controls)
+    lib = ctypes.CDLL(_superlu.__file__)  # already loaded, so this only returns its handle
+    # scipy_: the prefix of scipy's and numpy's wheels; 64_: numpy's 64-bit-integer copies
+    for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            return ((get, set_),)  # ctypes' default int signature fits both
+    return ()
 
 
 _BLAS_HOLD = threading.Lock()
@@ -389,7 +382,7 @@ _BLAS_HOLD = threading.Lock()
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold every OpenBLAS in the process to one thread, restoring the counts on exit.
+    """Hold SuperLU's OpenBLAS to one thread, restoring its count on exit.
 
     The lock keeps concurrent solves from restoring each other's counts;
     SuperLU holds the GIL while it factors, so it costs no parallelism.
@@ -467,7 +460,6 @@ def _tail_shares(pops: np.ndarray) -> np.ndarray:
     count by magnitude, so solver noise never lowers the share.  Meaningful
     where both moments are positive (lg_g2 defined).  Each row rounds as it
     would alone (_row_dots), whatever else the stack holds."""
-    pops = np.ascontiguousarray(pops)
     n = np.arange(pops.shape[1], dtype=float)
     tail = np.abs(pops[:, START_DIM:])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -584,8 +576,8 @@ def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
     Row 0 of the singular Liouvillian (the rho_00 equation) is swapped for
     the vectorized trace functional times kappa, so that A scales with the
     rates and no guard depends on the unit of time, and the square system A
-    is solved by sparse LU (SuperLU) while every OpenBLAS in the process is
-    held to one thread (counts restored on return).  A system that
+    is solved by sparse LU (SuperLU) while the OpenBLAS that SuperLU links
+    is held to one thread (its count restored on return).  A system that
     overflows double precision, an exactly singular factor, or a reciprocal
     1-norm condition estimate below 1e-14 raises SteadyStateError rather
     than returning digits that are mostly noise, as does a residual above
@@ -600,10 +592,13 @@ def steady_state(p: SystemParams, dim: int) -> DensityMatrix:
 
 def check_ladder(tol: float, max_dim: int) -> None:
     """Reject a tol or max_dim no ladder can run on: a max_dim that is no
-    int is check_dim's TypeError, anything else a ValueError."""
+    int is check_dim's TypeError, a tol that is no int or float (a bool, a
+    string, None) a TypeError, anything else a ValueError."""
     check_dim(max_dim)
     if max_dim < START_DIM:
         raise ValueError(f"max_dim={max_dim} is below the starting dimension {START_DIM}")
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+        raise TypeError(f"tol must be a real number, got {tol!r}")
     if not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
 
@@ -618,7 +613,8 @@ def converge_batch(points, tol: float = DEFAULT_TOL, *, max_dim: int = DEFAULT_M
     points still climbing as one _rung, and a point leaves as soon as its
     outcome is known.  A NaN or negative tol, or a max_dim below 12, is a
     ValueError; a max_dim that is no int (a float, a bool or a numpy
-    integer) is a TypeError.
+    integer), or a tol that is no int or float (a bool, a string or None),
+    is a TypeError.
     """
     check_ladder(tol, max_dim)
     if len(points) > BATCH:
@@ -689,7 +685,8 @@ def converged_steady_state(
     Raises ConvergenceError (carrying the last two observable sets, naming
     the last dimension solved) if the ladder ends without settling, the
     guaranteed outcome of tol = 0; a NaN or negative tol, or a max_dim
-    below 12, is a ValueError, and a max_dim that is no int a TypeError.
+    below 12, is a ValueError, and a max_dim that is no int, or a tol that
+    is no int or float, a TypeError.
     Without Kerr (u = 0) the linearised mode grows once the parametric
     gain reaches 2|g| >= sqrt(delta^2 + kappa^2/4), so there is no steady
     state; such a point raises ConvergenceError (previous and last None)

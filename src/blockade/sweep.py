@@ -185,6 +185,8 @@ def run_sweep(
     growing truncation; rows where the solver fails are marked FAIL instead
     of aborting the sweep.  Rows come back in row-major (axis1, axis2)
     order regardless of worker count; the CLI adds the metadata's preset id.
+    The grid and the ladder settings are checked before any solve: a tol
+    that is no int or float (a bool, a string, None) is a TypeError.
     """
     axes = tuple(axes)
     # a bad range, e.g. a negative drive strength, fails here instead of

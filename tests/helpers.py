@@ -6,6 +6,7 @@ from collections import defaultdict
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import blockade.steady
 from blockade.analytic import DEGENERACY_FLOOR, AmplitudeSet, DegenerateParametersError
@@ -105,24 +106,24 @@ def rk4_steady(params, dim, t_final=None):
     result agrees with the true steady state far below the 1e-6 comparison
     tolerance.  Returns the raw density matrix as an ndarray.
     """
-    gen = dense_liouvillian(params, dim)
+    dense = dense_liouvillian(params, dim)
     if t_final is None:
         t_final = 50.0 / params.kappa
-    dt = 1.0 / np.linalg.norm(gen, np.inf)
+    dt = 1.0 / np.linalg.norm(dense, np.inf)
     steps = int(math.ceil(t_final / dt))
     dt = t_final / steps
 
+    # a CSR copy of the dense oracle steps without BLAS, whose threaded
+    # products of these sizes slow sharply while another process holds a core
+    gen = csr_array(dense)
     x = np.zeros(dim * dim, dtype=complex)
     x[0] = 1.0  # vec(|0><0|)
-    # one BLAS thread: a threaded product of these sizes slows sharply
-    # while another process holds a core
-    with blockade.steady._one_blas_thread():
-        for _ in range(steps):
-            k1 = gen @ x
-            k2 = gen @ (x + 0.5 * dt * k1)
-            k3 = gen @ (x + 0.5 * dt * k2)
-            k4 = gen @ (x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for _ in range(steps):
+        k1 = gen @ x
+        k2 = gen @ (x + 0.5 * dt * k1)
+        k3 = gen @ (x + 0.5 * dt * k2)
+        k4 = gen @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     rho = x.reshape((dim, dim), order="F")
     rho = 0.5 * (rho + rho.conj().T)

@@ -1,6 +1,8 @@
 import contextlib
+import ctypes
 import gc
 import math
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_array, diags_array
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from helpers import (
     dense_liouvillian,
@@ -20,8 +23,6 @@ from helpers import (
     never_solve,
     reference_ladder,
     reference_observables,
-    rk4_steady,
-    weak_drive_draw,
     weak_drive_params,
 )
 
@@ -49,6 +50,21 @@ RATES = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 
 def vec(rho):
     return rho.flatten(order="F")
+
+
+def openblas_controls(lib):
+    """(get, set) thread-count functions that lib resolves, under any of
+    the four OpenBLAS spellings, or None."""
+    for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            return get, set_
+    return None
+
+
+def address(function):
+    return ctypes.cast(function, ctypes.c_void_p).value
 
 
 def ketbra(dim, n):
@@ -286,42 +302,55 @@ class TestSteadyState:
         assert np.max(np.abs(rho - kernel)) < 1e-12
 
     def test_factors_and_solves_on_one_blas_thread(self, monkeypatch):
+        # every OpenBLAS mapped into the process, each with its own controls,
+        # read independently of the solver's lookup
         try:
             with open("/proc/self/maps", encoding="utf-8") as maps:
                 mapped = {line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
         except OSError:
-            mapped = set()
-        if not mapped:
-            pytest.skip("no OpenBLAS mapped into the process")
-        controls = blockade.steady._openblas_thread_controls()
-        assert len(controls) == len(mapped)  # every mapped copy can be held
-        counts = [get() for get, _ in controls]
-        seen = []
+            pytest.skip("no /proc/self/maps to list the mapped OpenBLAS copies")
+        copies = {path: openblas_controls(ctypes.CDLL(path)) for path in sorted(mapped)}
+        copies = {path: pair for path, pair in copies.items() if pair is not None}
+        # the copy SuperLU links: its extension's handle resolves its symbols
+        linked = openblas_controls(ctypes.CDLL(_superlu.__file__))
+        if linked is None:
+            # a scipy wheel's SuperLU links its bundled libscipy_openblas, so
+            # finding no controls there means the solver holds nothing
+            assert not any(os.path.basename(path).startswith("libscipy_openblas") for path in mapped)
+            pytest.skip("SuperLU links no OpenBLAS")
+        held = [path for path, (get, _) in copies.items() if address(get) == address(linked[0])]
+        assert len(held) == 1
+
+        def read():
+            return {path: get() for path, (get, _) in copies.items()}
+
+        counts, seen = read(), []
 
         def recording_splu(matrix, **kwargs):
-            seen.append([get() for get, _ in controls])
+            seen.append(read())
             return splu(matrix, **kwargs)
 
         def singular_splu(matrix, **kwargs):
-            seen.append([get() for get, _ in controls])
+            seen.append(read())
             raise RuntimeError("Factor is exactly singular")
 
         try:
-            for _, set_ in controls:
+            for _, set_ in copies.values():
                 set_(2)
             monkeypatch.setattr(blockade.steady, "splu", recording_splu)
             blockade.steady._layout.cache_clear()  # the layout probe is factored too
             steady_state(SystemParams(f=0.1), 12)
             assert len(seen) == 2
-            assert [get() for get, _ in controls] == [2] * len(controls)
+            assert read() == dict.fromkeys(copies, 2)
             monkeypatch.setattr(blockade.steady, "splu", singular_splu)
             with pytest.raises(SteadyStateError, match="singular"):
                 steady_state(SystemParams(f=0.1), 12)
-            assert [get() for get, _ in controls] == [2] * len(controls)
-            assert seen == [[1] * len(controls)] * 3
+            assert read() == dict.fromkeys(copies, 2)
+            # SuperLU's copy reads 1 during each factor, every other copy keeps 2
+            assert seen == [{path: 1 if path in held else 2 for path in copies}] * 3
         finally:
-            for (_, set_), count in zip(controls, counts):
-                set_(count)
+            for path, (_, set_) in copies.items():
+                set_(counts[path])
 
     def test_pattern_cache_is_bounded(self):
         cache = blockade.steady._layout
@@ -678,6 +707,21 @@ class TestConvergedSteadyState:
         with pytest.raises(ValueError, match="tol"):
             converged_steady_state(SystemParams(f=0.1), tol=tol)
 
+    def test_rejects_a_tol_that_is_no_real_number_before_solving(self, monkeypatch):
+        # True would run as tol = 1; a string or None would fail only at the
+        # comparison, with an error that does not name tol
+        never_solve(monkeypatch)
+        p = SystemParams(f=0.1)
+        entries = (
+            lambda tol: converged_steady_state(p, tol),
+            lambda tol: blockade.steady.converge_batch([p], tol),
+            lambda tol: run_sweep(p, [GridAxis.linear("f", 0.1, 0.2, 2)], tol, workers=1),
+        )
+        for entry in entries:
+            for tol in (True, "0.1", None):
+                with pytest.raises(TypeError, match="tol must be a real number"):
+                    entry(tol)
+
 
 def ladder_outcome(solve, p, tol, max_dim):
     """(dim, N, g2) of a converged solve, or the exception's type and message
@@ -926,17 +970,3 @@ class TestExactKerrOracle:
                 for f in (1.0, 2.0, 3.2):
                     p = SystemParams(u=u, delta=delta, f=f)
                     assert true_lg_error(p, converged_steady_state(p)[1]) <= DEFAULT_TOL
-
-
-class TestEvolutionOracle:
-    def test_solver_matches_explicit_time_evolution(self):
-        rng = np.random.default_rng(71)
-        for _ in range(20):
-            p = weak_drive_draw(rng)
-            dim = 12
-            rho_evolved = DensityMatrix(dim=dim, entries=rk4_steady(p, dim))
-            obs_t = observables(rho_evolved)
-            obs_s = observables(steady_state(p, dim))
-            assert obs_t.mean_photon == pytest.approx(obs_s.mean_photon, abs=1e-6)
-            assert obs_t.g2 == pytest.approx(obs_s.g2, abs=1e-6)
-            np.testing.assert_allclose(obs_t.populations, obs_s.populations, atol=1e-6)
